@@ -151,3 +151,11 @@ grep -q '"name":"fleet.kill.healthz_status","value":200' target/metrics/fleet.me
 grep -q '"name":"fleet.degrade.healthz_status","value":503' target/metrics/fleet.metrics.json
 grep -q '"name":"fleet.recover.healthz_status","value":200' target/metrics/fleet.metrics.json
 grep -q '"name":"fleet.bench.pages_repaired","value":[1-9]' target/metrics/fleet.metrics.json
+
+# Benchmark package (BENCHMARK.json, perf/README.md): `perf/` is a package
+# of its own outside the workspace, so nothing above notices when a refactor
+# of the crates breaks its build. Build it, run its suite (which smokes every
+# workload in both modes against the oracle), then the CLI's own smoke run
+# of the whole 5 × 2 matrix (≈ 20 s; `--smoke` needs a mode, `--all` is it).
+cargo test --release --manifest-path perf/Cargo.toml
+cargo run --release --quiet --manifest-path perf/Cargo.toml -- --all --smoke >/dev/null

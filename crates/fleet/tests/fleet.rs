@@ -248,12 +248,15 @@ fn unresponsive_shard_is_declared_dead_with_router_side_candidates() {
     let mut held = Vec::new();
     for replica in &fleet.shards()[1].replicas {
         for _ in 0..2 {
-            held.push(
-                replica
-                    .server
-                    .submit(wedge.clone(), 10, None)
-                    .expect("wedge"),
-            );
+            // The second submit needs the queue slot back, which the worker
+            // frees by picking the first request up — wait for that rather
+            // than betting on the scheduler.
+            held.push(loop {
+                match replica.server.submit(wedge.clone(), 10, None) {
+                    Ok(ticket) => break ticket,
+                    Err(_) => std::thread::yield_now(),
+                }
+            });
         }
     }
 

@@ -130,12 +130,16 @@ pub struct IngestAnswer {
     pub pruned: usize,
     /// Exact vectors fetched from segment files.
     pub fetched: usize,
-    /// Physical pages read across all segments.
+    /// Page reads issued across all segments (device or segment broker).
     pub io_pages: usize,
     /// Transient-fault retries spent.
     pub pages_retried: usize,
-    /// Ids lost to permanently unreadable pages (degraded, never wrong).
+    /// Ids lost to unreadable pages that no sidecar bound could exclude
+    /// (degraded, never wrong).
     pub missing: Vec<PointId>,
+    /// Unreadable rows proven irrelevant by their sidecar lower bound —
+    /// losses absorbed without degrading the answer (DESIGN.md §10).
+    pub fault_excluded: usize,
     /// Sealed segments visited.
     pub segments_visited: usize,
 }
@@ -309,15 +313,7 @@ impl IngestEngine {
             if image_seq != seq || dim != self.config.dim {
                 continue;
             }
-            let segment = Arc::new(Segment::build(
-                seq,
-                rows,
-                tombstones,
-                self.config.dim,
-                self.config.sidecar,
-                self.segment_fault(seq),
-            ));
-            version = version.with_new_segment(segment);
+            version = version.with_new_segment(self.build_segment(seq, rows, tombstones));
             max_seq = max_seq.max(seq);
             restored += 1;
         }
@@ -430,14 +426,7 @@ impl IngestEngine {
             .config
             .checkpoint_on_seal
             .then(|| encode_segment_snapshot(seq, self.config.dim, &live, &tombstones));
-        let segment = Arc::new(Segment::build(
-            seq,
-            live,
-            tombstones,
-            self.config.dim,
-            self.config.sidecar,
-            self.segment_fault(seq),
-        ));
+        let segment = self.build_segment(seq, live, tombstones);
         let version = self.manifest.current().with_new_segment(segment);
         let generation = self.manifest.swap(version);
         self.device.publish_generation(generation);
@@ -471,12 +460,29 @@ impl IngestEngine {
         true
     }
 
-    /// Per-segment fault schedule: same profile, fresh seed per seal.
-    fn segment_fault(&self, seq: u64) -> Option<FaultConfig> {
-        self.config.fault.map(|f| FaultConfig {
+    /// Build segment `seq` under this engine's sidecar fit, with its own
+    /// fault schedule (same profile, fresh seed per seal) and its read
+    /// retries counted in the engine's registry.
+    fn build_segment(
+        &self,
+        seq: u64,
+        live: Vec<(u32, Vec<f32>)>,
+        tombstones: Vec<u32>,
+    ) -> Arc<Segment> {
+        let fault = self.config.fault.map(|f| FaultConfig {
             seed: f.seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ..f
-        })
+        });
+        let segment = Segment::build(
+            seq,
+            live,
+            tombstones,
+            self.config.dim,
+            self.config.sidecar,
+            fault,
+        );
+        segment.bind_obs(&self.registry);
+        Arc::new(segment)
     }
 
     /// Merge the whole segment stack into one when it has grown to
@@ -500,14 +506,7 @@ impl IngestEngine {
             .config
             .checkpoint_on_seal
             .then(|| encode_segment_snapshot(seq, self.config.dim, &rows, &[]));
-        let merged = Arc::new(Segment::build(
-            seq,
-            rows,
-            Vec::new(),
-            self.config.dim,
-            self.config.sidecar,
-            self.segment_fault(seq),
-        ));
+        let merged = self.build_segment(seq, rows, Vec::new());
         let generation = self.manifest.swap(ManifestVersion::compacted(merged));
         self.device.publish_generation(generation);
         if let Some(image) = image {
@@ -559,6 +558,7 @@ impl IngestEngine {
             answer.io_pages += search.io_pages;
             answer.pages_retried += search.pages_retried;
             answer.missing.extend(search.missing);
+            answer.fault_excluded += search.fault_excluded;
             merged.extend(search.hits);
         }
         merged.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));

@@ -9,12 +9,13 @@
 //! distribution (GoVector-style per-segment caching: each sealed run keeps
 //! its own compact codes rather than sharing one global pool).
 //!
-//! Queries use the sidecar for sound distance lower bounds: candidates are
-//! refined in ascending-lb order, reading exact vectors through the
-//! fallible store with bounded transient retries, and stop as soon as the
-//! k-th exact distance is ≤ the next lower bound — the multi-step optimal
-//! stopping rule, so the answer over the segment's unmasked rows is exact
-//! while most pages are never read.
+//! Queries use the sidecar for sound distance lower bounds and hand them to
+//! the shared lb-ordered refiner ([`hc_storage::refine`]): exact vectors are
+//! read in ascending-lb order through the fallible store's retry ladder
+//! until the k-th exact distance is ≤ the next lower bound, so the answer
+//! over the segment's unmasked rows is exact while most pages are never
+//! read, and an unreadable row only counts as missing if its sidecar bound
+//! cannot exclude it against the final k-th distance (DESIGN.md §10).
 //!
 //! Like the base file, a segment can be wrapped in a [`FaultInjector`]
 //! (per-segment seed) so sealed pages fail realistically; scrub passes
@@ -39,8 +40,12 @@ use hc_core::histogram::HistogramKind;
 use hc_core::quantize::Quantizer;
 use hc_core::scan::{scan_slots, BlockedCodes, QueryTables, ScanScratch, Simd};
 use hc_core::scheme::{ApproxScheme, GlobalScheme};
+use hc_obs::MetricsRegistry;
+use hc_storage::clock::RealClock;
 use hc_storage::fault::{FaultConfig, FaultInjector};
 use hc_storage::point_file::PointFile;
+use hc_storage::refine::{refine, BestK, Candidate, Fetcher, NoSink};
+use hc_storage::retry::{RetryObs, RetryPolicy};
 use hc_storage::scrub::ScrubbablePageStore;
 use hc_storage::store::PageStore;
 
@@ -87,6 +92,8 @@ pub struct Segment {
     /// — the segment-local mirror of the cache's compact store, so the
     /// bound pass runs the same table-driven block kernel.
     codes: BlockedCodes,
+    /// `retry.*` telemetry of this segment's reads; inert until bound.
+    retry_obs: RetryObs,
 }
 
 /// What one segment search did and found.
@@ -101,14 +108,20 @@ pub struct SegmentSearch {
     pub pruned: usize,
     /// Exact vectors actually fetched.
     pub fetched: usize,
-    /// Physical pages this search read.
+    /// Page reads this search issued: device reads (failed attempts and
+    /// retries included) plus pages the segment broker served from its hot
+    /// buffer or a coalesced flight.
     pub io_pages: usize,
-    /// Retries of transient page faults.
+    /// Device reads that were retries of transient page faults.
     pub pages_retried: usize,
-    /// Ids whose page stayed unreadable within the retry budget — the
-    /// answer over this segment is exact minus these (degraded, surfaced
-    /// to the caller, never silently wrong).
+    /// Ids whose page stayed unreadable within the retry budget and whose
+    /// sidecar lower bound could not prove them irrelevant — the answer
+    /// over this segment is exact minus these (degraded, surfaced to the
+    /// caller, never silently wrong).
     pub missing: Vec<PointId>,
+    /// Unreadable rows whose sidecar lower bound reached the final k-th
+    /// distance: lost pages that cost the answer nothing.
+    pub fault_excluded: usize,
 }
 
 impl Segment {
@@ -165,7 +178,13 @@ impl Segment {
             read_store,
             scheme,
             codes,
+            retry_obs: RetryObs::new(),
         }
+    }
+
+    /// Count this segment's read retries in `registry`'s `retry.*` series.
+    pub fn bind_obs(&self, registry: &MetricsRegistry) {
+        self.retry_obs.bind(registry);
     }
 
     pub fn seq(&self) -> u64 {
@@ -236,7 +255,8 @@ impl Segment {
 
     /// Exact top-k over `locals` (this segment's still-live slots per the
     /// manifest) minus ids in `mask` (shadowed by newer levels), refined in
-    /// ascending-lower-bound order with bounded transient retries.
+    /// ascending-lower-bound order with at most `max_retries` re-reads of a
+    /// transiently failing page.
     pub fn top_k(
         &self,
         q: &[f32],
@@ -278,52 +298,47 @@ impl Segment {
             &mut scratch,
             Simd::Auto,
         );
-        let mut by_lb: Vec<(f64, u32)> = unmasked
+        let by_lb: Vec<Candidate> = unmasked
             .iter()
             .zip(&bounds)
-            .map(|(&local, b)| (b.lb, local))
+            .map(|(&local, b)| Candidate {
+                id: PointId(local),
+                lb: b.lb,
+            })
             .collect();
-        by_lb.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
-        // Refine pass: exact reads in lb order until the stopping rule
-        // fires. Reads go through the segment broker, so concurrent workers
-        // coalesce identical pages and share hot residency.
-        let mut buffer = self.read_store.begin_query();
-        let mut best: Vec<(f64, PointId)> = Vec::with_capacity(k + 1);
-        for (i, &(lb, local)) in by_lb.iter().enumerate() {
-            if best.len() == k && lb >= best[k - 1].0 {
-                // Sound lower bounds in ascending order: nothing further can
-                // beat the current k-th exact distance.
-                out.pruned = by_lb.len() - i;
-                break;
-            }
-            let id = PointId(self.key_of(local));
-            let mut attempt = 0u32;
-            let exact = loop {
-                match self
-                    .read_store
-                    .read_point(PointId(local), attempt, &mut buffer)
-                {
-                    Ok(p) => break Some(euclidean(q, p)),
-                    Err(e) if e.is_transient() && attempt < max_retries => {
-                        attempt += 1;
-                        out.pages_retried += 1;
-                    }
-                    Err(_) => break None,
-                }
-            };
-            match exact {
-                Some(d) => {
-                    out.fetched += 1;
-                    let at = best.partition_point(|&(bd, bid)| (bd, bid.0) <= (d, id.0));
-                    best.insert(at, (d, id));
-                    best.truncate(k);
-                }
-                None => out.missing.push(id),
-            }
-        }
-        out.io_pages = buffer.pages_touched();
-        out.hits = best;
+        // Refine pass: the shared lb-ordered refiner over local slots (slot
+        // order is key order, so its `(distance, id)` tie rule is the
+        // segment's). Reads go through the segment broker, so concurrent
+        // workers coalesce identical pages and share hot residency.
+        let retry = RetryPolicy {
+            max_retries,
+            ..RetryPolicy::default()
+        };
+        let mut fetcher =
+            Fetcher::new(self.read_store.as_ref(), retry, &self.retry_obs, &RealClock);
+        let refined = refine(
+            &mut fetcher,
+            q,
+            BestK::new(k),
+            by_lb,
+            Vec::new(),
+            0,
+            &mut NoSink,
+        );
+        let key = |local: PointId| PointId(self.key_of(local.0));
+        out.hits = refined
+            .results
+            .into_iter()
+            .map(|(local, d)| (d, key(local)))
+            .collect();
+        out.missing = refined.missing.into_iter().map(key).collect();
+        out.fault_excluded = refined.excluded_by_bounds;
+        out.pruned = refined.pruned;
+        out.fetched = refined.fetched;
+        let io = fetcher.io();
+        out.io_pages = (io.pages_read + io.hot_hits + io.pages_coalesced) as usize;
+        out.pages_retried = io.pages_retried as usize;
         out
     }
 
@@ -446,6 +461,51 @@ mod tests {
             assert_eq!(got.hits, oracle, "shift {shift}");
         }
         assert!(retried > 0, "transient faults must retry somewhere");
+    }
+
+    #[test]
+    fn dead_row_attempted_early_is_excluded_by_its_sidecar_bound() {
+        // One row per page (1024 dims). Rows 0 and 1 are duplicates sitting
+        // on the query, so both carry lb = 0 and row 0 sorts first: it is
+        // attempted while the heap is still empty, its page is dead, and the
+        // verdict waits. Row 1 then fills the heap at distance 0 — row 0's
+        // bound reaches the final d_k, so the lost page cost nothing.
+        let rows: Vec<(u32, Vec<f32>)> = [10.0f32, 10.0, 200.0, 300.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (i as u32 * 3, vec![v; 1024]))
+            .collect();
+        let locals: Vec<u32> = (0..4).collect();
+        let q = [10.0f32; 1024];
+        // With k = 4 the heap never fills (one row is dead), so nothing can
+        // be excluded and `missing` names exactly the dead rows.
+        let s = (0..u64::MAX)
+            .find_map(|seed| {
+                let fault = FaultConfig {
+                    seed,
+                    unreadable_rate: 0.3,
+                    ..FaultConfig::none()
+                };
+                let s = Segment::build(
+                    7,
+                    rows.clone(),
+                    vec![],
+                    1024,
+                    SidecarConfig::default(),
+                    Some(fault),
+                );
+                let dead = s.top_k(&q, 4, &locals, &HashSet::new(), 3).missing;
+                (dead == [PointId(0)]).then_some(s)
+            })
+            .expect("some seed kills exactly row 0's page");
+        let got = s.top_k(&q, 1, &locals, &HashSet::new(), 3);
+        assert_eq!(got.hits, vec![(0.0, PointId(3))]);
+        assert!(
+            got.missing.is_empty(),
+            "a bound-excluded loss is not missing"
+        );
+        assert_eq!(got.fault_excluded, 1);
+        assert_eq!(got.pruned, 2);
     }
 
     /// The blocked sidecar's table-driven bounds must be bit-identical to

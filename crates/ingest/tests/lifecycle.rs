@@ -164,6 +164,10 @@ fn faulted_lifecycle_degrades_but_never_lies_then_scrubs_clean() {
         );
     }
     assert!(degraded > 0, "fault seed never fired — test is vacuous");
+    assert!(
+        registry.snapshot().counter("retry.attempts").unwrap_or(0) > 0,
+        "segment reads must show up in the retry.* series"
+    );
 
     // Scrub repairs from the pristine replica; service returns to exact.
     let report = engine.scrub();

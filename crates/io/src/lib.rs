@@ -15,12 +15,13 @@
 //!   hot/cold split over page numbers: pages earn hot residency by
 //!   re-reference, so scan-once pages wash out of a small FIFO probation
 //!   segment instead of displacing the working set.
-//! * **Look-ahead batching** ([`BatchIoModel`] + the refiners' `lookahead`
-//!   knob in `hc-query`) — the multi-step refiner submits the next `m`
-//!   lb-ordered candidate pages together with the current one, so a
-//!   batch-aware device pays one seek for several transfers. The refiner
-//!   reports issued/wasted prefetches (`storage.io.lookahead_*`), and
-//!   `BatchIoModel` prices the batched schedule analytically.
+//! * **Look-ahead batching** ([`BatchIoModel`] + the `lookahead` depth of
+//!   the one refiner, [`hc_storage::refine`]) — the multi-step refiner
+//!   submits the next `m` lb-ordered candidate pages together with the
+//!   current one, so a batch-aware device pays one seek for several
+//!   transfers. The refiner reports issued/wasted prefetches
+//!   (`storage.io.lookahead_*`), and `BatchIoModel` prices the batched
+//!   schedule analytically.
 //!
 //! The broker is itself a [`PageStore`](hc_storage::PageStore), so retry
 //! ladders, refiners, and serving workers stack on top unchanged. See the

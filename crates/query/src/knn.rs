@@ -23,10 +23,10 @@ use hc_index::traits::CandidateIndex;
 use hc_obs::MetricsRegistry;
 use hc_storage::clock::{Clock, RealClock};
 use hc_storage::io_stats::IoModel;
+use hc_storage::refine::{refine, BestK, Candidate, Fetcher, RefineSink};
 use hc_storage::retry::{RetryObs, RetryPolicy};
 use hc_storage::store::PageStore;
 
-use crate::multistep::{multistep_refine, Pending};
 use crate::obs::QueryObs;
 
 /// Per-query measurements.
@@ -180,6 +180,16 @@ impl AggregateStats {
     }
 }
 
+/// Phase 3's [`RefineSink`]: every fetched point is offered to the cache for
+/// admission (dynamic policies).
+struct AdmitFetched<'c>(&'c mut dyn PointCache);
+
+impl RefineSink for AdmitFetched<'_> {
+    fn fetched(&mut self, id: PointId, point: &[f32]) {
+        self.0.admit(id, point);
+    }
+}
+
 /// The three-phase kNN engine.
 pub struct KnnEngine<'a> {
     pub index: &'a dyn CandidateIndex,
@@ -288,11 +298,10 @@ impl<'a> KnnEngine<'a> {
         stats.gen_cpu = t0.elapsed();
         stats.candidates = candidates.len();
 
-        // Phase 2: candidate reduction (part 2.1 — cache lookups). The page
-        // buffer spans phases 2 and 3 so eager refetches and refinement
-        // share within-query page dedup.
-        let mut buffer = self.file.begin_query();
-        let io_before = self.file.stats().snapshot();
+        // Phase 2: candidate reduction (part 2.1 — cache lookups). The
+        // fetcher spans phases 2 and 3 so eager refetches and refinement
+        // share within-query page dedup and one I/O account.
+        let mut fetcher = Fetcher::new(self.file, self.retry, &self.retry_obs, self.clock.as_ref());
         let t1 = Instant::now();
         // Part 2.1a — one batched cache probe for the whole candidate set.
         // Blocked-kernel caches compute every resident candidate's bounds in
@@ -316,13 +325,7 @@ impl<'a> KnnEngine<'a> {
                 // tightens ub_k for everyone else. A failed eager read is
                 // not yet a loss — the candidate just stays a Miss and
                 // refinement retries it (and degrades there if it must).
-                if let Ok(point) = self.retry.fetch_with(
-                    self.file,
-                    id,
-                    &mut buffer,
-                    &self.retry_obs,
-                    self.clock.as_ref(),
-                ) {
+                if let Ok(point) = fetcher.fetch(id) {
                     let d = hc_core::distance::euclidean(q, point);
                     self.cache.admit(id, point);
                     stats.fetched += 1;
@@ -352,7 +355,7 @@ impl<'a> KnnEngine<'a> {
         let ub_k = kth_smallest(&ubs, k);
         let mut results: Vec<PointId> = Vec::new();
         let mut known: Vec<(PointId, f64)> = Vec::new();
-        let mut pending: Vec<Pending> = Vec::new();
+        let mut pending: Vec<Candidate> = Vec::new();
         for ((&id, lk), (&lb, &ub)) in candidates.iter().zip(&lookups).zip(lbs.iter().zip(&ubs)) {
             if lb > ub_k {
                 stats.pruned += 1;
@@ -365,12 +368,8 @@ impl<'a> KnnEngine<'a> {
             }
             match lk {
                 CacheLookup::Exact(d) => known.push((id, *d)),
-                CacheLookup::Bounds(b) => pending.push(Pending {
-                    id,
-                    lb: b.lb,
-                    ub: b.ub,
-                }),
-                CacheLookup::Miss => pending.push(Pending::unknown(id)),
+                CacheLookup::Bounds(b) => pending.push(Candidate { id, lb: b.lb }),
+                CacheLookup::Miss => pending.push(Candidate { id, lb: 0.0 }),
             }
         }
         stats.reduce_cpu = t1.elapsed();
@@ -380,19 +379,18 @@ impl<'a> KnnEngine<'a> {
         // accounted from the phase-2 snapshot so eager refetches count too.
         let t2 = Instant::now();
         if results.len() < k {
-            let k_rest = k - results.len();
-            let outcome = multistep_refine(
-                self.file,
-                &mut buffer,
+            let mut best = BestK::new(k - results.len());
+            for (id, d) in known {
+                best.push(id, d);
+            }
+            let outcome = refine(
+                &mut fetcher,
                 q,
-                k_rest,
-                &known,
+                best,
                 pending,
-                self.cache.as_mut(),
-                &self.retry,
-                &self.retry_obs,
-                self.clock.as_ref(),
+                Vec::new(),
                 self.lookahead,
+                &mut AdmitFetched(self.cache.as_mut()),
             );
             stats.fetched += outcome.fetched;
             stats.missing = outcome.missing;
@@ -402,7 +400,7 @@ impl<'a> KnnEngine<'a> {
             stats.io_batches = outcome.io_batches;
             results.extend(outcome.results.into_iter().map(|(id, _)| id));
         }
-        let io_delta = self.file.stats().snapshot().delta_since(io_before);
+        let io_delta = fetcher.io();
         stats.io_pages = io_delta.pages_read;
         stats.pages_retried = io_delta.pages_retried;
         stats.refine_cpu = t2.elapsed();

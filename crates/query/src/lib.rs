@@ -6,8 +6,6 @@
 //!   (candidate generation → cache-based candidate reduction → multi-step
 //!   refinement) over any [`hc_index::traits::CandidateIndex`] and
 //!   [`hc_cache::point::PointCache`],
-//! * [`multistep`] — the optimal multi-step refinement of Seidl–Kriegel
-//!   (\[26\]) / Kriegel et al. (\[22\]),
 //! * [`tree_search::TreeSearchEngine`] — exact kNN on tree indexes with
 //!   leaf-node caching (§3.6.1),
 //! * [`builder`] — the offline workload replay that derives HFF rankings,
@@ -20,7 +18,6 @@ pub mod builder;
 pub mod join;
 pub mod knn;
 pub mod maintenance;
-pub mod multistep;
 pub mod obs;
 pub mod tree_search;
 
@@ -28,6 +25,5 @@ pub use builder::{replay_leaf_accesses, replay_workload, Replay, SharedParts, Tr
 pub use join::{cluster_outer, knn_join, JoinResult};
 pub use knn::{AggregateStats, KnnEngine, QueryStats};
 pub use maintenance::{CacheMaintainer, MaintenanceConfig};
-pub use multistep::{multistep_refine, Pending, RefineOutcome};
 pub use obs::{DriftMonitor, QueryObs, TreeQueryObs};
 pub use tree_search::{TreeQueryStats, TreeSearchEngine};

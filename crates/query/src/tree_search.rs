@@ -41,11 +41,13 @@ use std::time::{Duration, Instant};
 
 use hc_cache::node::{NodeCache, NodeLookup};
 use hc_core::dataset::{Dataset, PointId};
-use hc_core::distance::{euclidean, DistEntry};
+use hc_core::distance::euclidean;
 use hc_index::traits::LeafedIndex;
 use hc_obs::MetricsRegistry;
 use hc_storage::clock::{Clock, RealClock};
+use hc_storage::error::StorageError;
 use hc_storage::io_stats::IoModel;
+use hc_storage::refine::{refine, BestK, Candidate, Fetcher, RefineSink};
 use hc_storage::retry::{RetryObs, RetryPolicy};
 use hc_storage::store::PageStore;
 
@@ -184,11 +186,10 @@ impl<'a> TreeSearchEngine<'a> {
     /// the readable points; check [`TreeQueryStats::missing`] for ids whose
     /// reads failed and could not be excluded by bounds.
     pub fn query(&self, q: &[f32], k: usize) -> (Vec<(PointId, f64)>, TreeQueryStats) {
-        assert!(k >= 1);
         let t0 = Instant::now();
         let mut stats = TreeQueryStats::default();
-        let mut buffer = self.store.begin_query();
-        let io_before = self.store.stats().snapshot();
+        let mut fetcher =
+            Fetcher::new(self.store, self.retry, &self.retry_obs, self.clock.as_ref());
 
         let mut leaf_bounds = self.index.leaf_lower_bounds(q);
         leaf_bounds.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(a.0.cmp(&b.0)));
@@ -196,30 +197,25 @@ impl<'a> TreeSearchEngine<'a> {
         stats.bounds_cpu = t0.elapsed();
         let t_traverse = Instant::now();
 
-        // Running best-k exact distances; `kth_ub` additionally folds in the
-        // upper bounds of deferred (bounded) candidates, which is a valid
+        // Running best-k exact distances; `ub_best` additionally folds in
+        // the upper bounds of deferred (bounded) candidates, which is a valid
         // prune threshold: at least k seen candidates lie within it.
-        let mut best: std::collections::BinaryHeap<DistEntry<PointId>> =
-            std::collections::BinaryHeap::with_capacity(k + 1);
-        let mut ub_heap: std::collections::BinaryHeap<DistEntry<()>> =
-            std::collections::BinaryHeap::with_capacity(k + 1);
-        let mut deferred: Vec<(PointId, f64)> = Vec::new(); // (id, lb)
-                                                            // Points whose read exhausted its retries, with the tightest lower
-                                                            // bound known for them (leaf bound or compact per-point bound).
-                                                            // Judged against the final k-th distance after the deferred pass.
-        let mut dead: Vec<(PointId, f64)> = Vec::new();
-        let mut fetched: HashSet<u32> = HashSet::new();
-
-        let kth = |h: &std::collections::BinaryHeap<DistEntry<()>>| -> f64 {
-            if h.len() < k {
-                f64::INFINITY
-            } else {
-                h.peek().expect("k >= 1").dist
-            }
+        let mut best = BestK::new(k);
+        let mut ub_best = BestK::new(k);
+        let mut deferred: Vec<Candidate> = Vec::new();
+        // Points whose read exhausted its retries, with the tightest lower
+        // bound known for them (here the leaf bound). Judged against the
+        // final k-th distance by the deferred pass.
+        let mut dead: Vec<Candidate> = Vec::new();
+        let mut leaves = LeafReads {
+            index: self.index,
+            node_cache: self.node_cache,
+            fetched: HashSet::new(),
+            order: Vec::new(),
         };
 
         for &(leaf, lb) in &leaf_bounds {
-            if lb > kth(&ub_heap) {
+            if lb > ub_best.kth().unwrap_or(f64::INFINITY) {
                 break; // no point in this or any later leaf can qualify
             }
             stats.leaves_visited += 1;
@@ -228,8 +224,8 @@ impl<'a> TreeSearchEngine<'a> {
                     stats.exact_hits += 1;
                     for p in self.index.leaf_points(leaf) {
                         let d = euclidean(q, self.dataset.point(*p));
-                        push_bounded(&mut best, k, *p, d);
-                        push_ub(&mut ub_heap, k, d);
+                        best.push(*p, d);
+                        ub_best.push(*p, d);
                     }
                 }
                 NodeLookup::Bounds(bounds) => {
@@ -237,204 +233,105 @@ impl<'a> TreeSearchEngine<'a> {
                     let pts = self.index.leaf_points(leaf);
                     debug_assert_eq!(pts.len(), bounds.len());
                     for (p, b) in pts.iter().zip(&bounds) {
-                        push_ub(&mut ub_heap, k, b.ub);
-                        if b.lb <= kth(&ub_heap) {
-                            deferred.push((*p, b.lb));
+                        ub_best.push(*p, b.ub);
+                        if b.lb <= ub_best.kth().unwrap_or(f64::INFINITY) {
+                            deferred.push(Candidate { id: *p, lb: b.lb });
                         }
                     }
                 }
-                NodeLookup::Miss => {
-                    let first_fetch = fetched.insert(leaf);
-                    if first_fetch {
-                        stats.leaf_fetches += 1;
-                        stats.fetched_leaves.push(leaf);
+                NodeLookup::Miss => leaves.read(&mut fetcher, leaf, |p, read| match read {
+                    Ok(v) => {
+                        let d = euclidean(q, v);
+                        best.push(p, d);
+                        ub_best.push(p, d);
                     }
-                    let pts = self.index.leaf_points(leaf);
-                    let mut members: Vec<&[f32]> = Vec::with_capacity(pts.len());
-                    let mut all_ok = true;
-                    for p in pts {
-                        match self.retry.fetch_with(
-                            self.store,
-                            *p,
-                            &mut buffer,
-                            &self.retry_obs,
-                            self.clock.as_ref(),
-                        ) {
-                            Ok(v) => {
-                                let d = euclidean(q, v);
-                                push_bounded(&mut best, k, *p, d);
-                                push_ub(&mut ub_heap, k, d);
-                                members.push(v);
-                            }
-                            Err(_) => {
-                                // The leaf bound is a sound lower bound for
-                                // every member; contribute no upper bound.
-                                all_ok = false;
-                                dead.push((*p, lb));
-                            }
-                        }
-                    }
-                    // Never admit a partially read leaf: the cache must only
-                    // hold data that passed checksum verification in full.
-                    if first_fetch && all_ok {
-                        self.node_cache.admit(leaf, &mut members.into_iter());
-                    }
-                }
+                    // The leaf bound is a sound lower bound for every
+                    // member; contribute no upper bound.
+                    Err(_) => dead.push(Candidate { id: p, lb }),
+                }),
             }
         }
         stats.traverse_cpu = t_traverse.elapsed();
         let t_deferred = Instant::now();
 
-        // Multi-step pass over deferred approximate candidates: fetch their
-        // leaf (dedup) only while the candidate's lb can still beat the k-th
-        // exact distance.
+        // Multi-step pass over deferred approximate candidates: the sink
+        // fetches a candidate's leaf (dedup) only while its lb can still beat
+        // the k-th exact distance. The candidate's own page is buffered if
+        // the leaf read reached it; the faults are deterministic, so a page
+        // that failed the sweep fails the evaluation too and the candidate is
+        // judged by its compact lower bound at the end.
         stats.deferred = deferred.len();
-        deferred.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(a.0.cmp(&b.0)));
-        // Look-ahead bookkeeping (DESIGN.md §16): pages whose prefetch
-        // exhausted its retries (the deterministic schedule means any later
-        // read of the page fails identically, so it is never re-issued), and
-        // prefetched pages not yet consumed by a leaf sweep or evaluation.
-        let mut prefetch_failed: HashSet<u64> = HashSet::new();
-        let mut ahead: HashSet<u64> = HashSet::new();
-        for i in 0..deferred.len() {
-            let (id, lb) = deferred[i];
-            let dk = if best.len() < k {
-                f64::INFINITY
-            } else {
-                best.peek().expect("k >= 1").dist
-            };
-            if lb >= dk {
-                break;
-            }
-            // Submit the next candidates' pages with this step's batch; a
-            // prefetch never touches the heap or the stopping rule, so the
-            // evaluated set and the results are unchanged for any depth.
-            for &(nid, _) in deferred.iter().skip(i + 1).take(self.lookahead) {
-                let p = self.store.page_of(nid);
-                if buffer.contains(p) || prefetch_failed.contains(&p) {
-                    continue;
-                }
-                stats.lookahead_issued += 1;
-                self.store.stats().record_lookahead_issued();
-                ahead.insert(p);
-                if self
-                    .retry
-                    .fetch_with(
-                        self.store,
-                        nid,
-                        &mut buffer,
-                        &self.retry_obs,
-                        self.clock.as_ref(),
-                    )
-                    .is_err()
-                {
-                    prefetch_failed.insert(p);
-                }
-            }
-            let leaf = self.index.leaf_of(id);
-            if fetched.insert(leaf) {
-                stats.leaf_fetches += 1;
-                stats.fetched_leaves.push(leaf);
-                let pts = self.index.leaf_points(leaf);
-                let mut members: Vec<&[f32]> = Vec::with_capacity(pts.len());
-                let mut all_ok = true;
-                for p in pts {
-                    let page = self.store.page_of(*p);
-                    ahead.remove(&page);
-                    if prefetch_failed.contains(&page) {
-                        // The prefetch already ran the full retry ladder on
-                        // this page and lost; re-rolling it would fail the
-                        // same way and double-count the retries.
-                        all_ok = false;
-                        continue;
-                    }
-                    match self.retry.fetch_with(
-                        self.store,
-                        *p,
-                        &mut buffer,
-                        &self.retry_obs,
-                        self.clock.as_ref(),
-                    ) {
-                        Ok(v) => members.push(v),
-                        Err(_) => all_ok = false,
-                    }
-                }
-                if all_ok {
-                    self.node_cache.admit(leaf, &mut members.into_iter());
-                }
-            }
-            // Evaluate only the candidate (its page is buffered if the leaf
-            // read above reached it; the faults are deterministic, so a page
-            // that failed the sweep fails here too and the candidate is
-            // judged by its compact lower bound at the end).
-            let page = self.store.page_of(id);
-            ahead.remove(&page);
-            if prefetch_failed.contains(&page) {
-                dead.push((id, lb));
-                continue;
-            }
-            match self.retry.fetch_with(
-                self.store,
-                id,
-                &mut buffer,
-                &self.retry_obs,
-                self.clock.as_ref(),
-            ) {
-                Ok(v) => push_bounded(&mut best, k, id, euclidean(q, v)),
-                Err(_) => dead.push((id, lb)),
-            }
-        }
-        stats.lookahead_wasted = ahead.len() as u64;
-        self.store
-            .stats()
-            .record_lookahead_wasted(stats.lookahead_wasted);
-
-        // Judge the dead candidates against the final k-th exact distance:
-        // a failed read is only allowed to disappear from the answer if its
-        // lower bound proves it could not have entered the top-k.
-        let dk_final = (best.len() >= k).then(|| best.peek().expect("k >= 1").dist);
-        for (id, lb) in dead {
-            match dk_final {
-                Some(dk) if lb >= dk => stats.fault_excluded += 1,
-                _ => stats.missing.push(id),
-            }
-        }
-        stats.missing.sort();
-        stats.missing.dedup();
+        let outcome = refine(
+            &mut fetcher,
+            q,
+            best,
+            deferred,
+            dead,
+            self.lookahead,
+            &mut leaves,
+        );
+        stats.lookahead_issued = outcome.lookahead_issued as u64;
+        stats.lookahead_wasted = outcome.lookahead_wasted as u64;
+        stats.fault_excluded = outcome.excluded_by_bounds;
+        stats.missing = outcome.missing;
+        stats.leaf_fetches = leaves.order.len() as u64;
+        stats.fetched_leaves = leaves.order;
         stats.deferred_cpu = t_deferred.elapsed();
 
-        let mut results: Vec<(PointId, f64)> = best.into_iter().map(|e| (e.item, e.dist)).collect();
-        results.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(a.0.cmp(&b.0)));
-        let io = self.store.stats().snapshot().delta_since(io_before);
+        let io = fetcher.io();
         stats.io_pages = io.pages_read;
         stats.pages_retried = io.pages_retried;
         stats.cpu = t0.elapsed();
         stats.modeled_io_secs = self.io_model.modeled_secs(stats.leaf_fetches);
         self.obs.observe(&stats);
-        (results, stats)
+        (outcome.results, stats)
     }
 }
 
-fn push_bounded(
-    heap: &mut std::collections::BinaryHeap<DistEntry<PointId>>,
-    k: usize,
-    id: PointId,
-    d: f64,
-) {
-    if heap.len() < k {
-        heap.push(DistEntry::new(d, id));
-    } else if d < heap.peek().expect("k >= 1").dist {
-        heap.pop();
-        heap.push(DistEntry::new(d, id));
+/// The leaves this query has read from the store, each at most once. As the
+/// deferred pass's [`RefineSink`] it sweeps a candidate's whole leaf before
+/// the candidate itself is evaluated, warming the node cache.
+struct LeafReads<'a> {
+    index: &'a dyn LeafedIndex,
+    node_cache: &'a dyn NodeCache,
+    fetched: HashSet<u32>,
+    /// `fetched` in read order, for offline frequency collection.
+    order: Vec<u32>,
+}
+
+impl LeafReads<'_> {
+    /// Read every member of `leaf` (one node I/O) unless this query already
+    /// did, showing each read to `each`.
+    fn read<'s>(
+        &mut self,
+        fetcher: &mut Fetcher<'s>,
+        leaf: u32,
+        mut each: impl FnMut(PointId, Result<&'s [f32], StorageError>),
+    ) {
+        if !self.fetched.insert(leaf) {
+            return;
+        }
+        self.order.push(leaf);
+        let pts = self.index.leaf_points(leaf);
+        let mut members: Vec<&[f32]> = Vec::with_capacity(pts.len());
+        for p in pts {
+            let read = fetcher.fetch(*p);
+            if let Ok(v) = read {
+                members.push(v);
+            }
+            each(*p, read);
+        }
+        // Never admit a partially read leaf: the cache must only hold data
+        // that passed checksum verification in full.
+        if members.len() == pts.len() {
+            self.node_cache.admit(leaf, &mut members.into_iter());
+        }
     }
 }
 
-fn push_ub(heap: &mut std::collections::BinaryHeap<DistEntry<()>>, k: usize, ub: f64) {
-    if heap.len() < k {
-        heap.push(DistEntry::new(ub, ()));
-    } else if ub < heap.peek().expect("k >= 1").dist {
-        heap.pop();
-        heap.push(DistEntry::new(ub, ()));
+impl RefineSink for LeafReads<'_> {
+    fn before_fetch(&mut self, fetcher: &mut Fetcher<'_>, id: PointId) {
+        self.read(fetcher, self.index.leaf_of(id), |_, _| {});
     }
 }
 

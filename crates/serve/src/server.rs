@@ -399,9 +399,9 @@ impl WorkerEngine<'_> {
             // candidates answered by the sidecar bounds alone (no I/O, the
             // compact-cache analogue), `candidates` = memtable rows scanned
             // plus segment bound evals, `c_refine` = exact fetches needed,
-            // `fault_excluded` = ids lost to unreadable pages. The engine
-            // has no internal phase clock, so the whole evaluation is
-            // charged to the refine phase.
+            // `fault_excluded` = unreadable rows the sidecar bounds proved
+            // irrelevant. The engine has no internal phase clock, so the
+            // whole evaluation is charged to the refine phase.
             WorkerEngine::Ingest { engine, io_model } => {
                 let started = Instant::now();
                 let answer = engine.query(q, k);
@@ -416,7 +416,7 @@ impl WorkerEngine<'_> {
                     c_refine: answer.fetched,
                     fetched: answer.fetched,
                     pages_retried: answer.pages_retried as u64,
-                    fault_excluded: answer.missing.len(),
+                    fault_excluded: answer.fault_excluded,
                     gen_ns: 0,
                     reduce_ns: 0,
                     refine_ns: elapsed,

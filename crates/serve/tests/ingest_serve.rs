@@ -143,6 +143,82 @@ fn served_answers_stay_exact_while_the_dataset_mutates() {
 }
 
 #[test]
+fn faulted_request_traces_bound_exclusions_apart_from_missing_ids() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    // Wide rows (150 dims → 6 per page) so sealed segments span several
+    // pages and a 40% unreadable rate kills some of them.
+    const WIDE: usize = 150;
+    let mut rng = StdRng::seed_from_u64(99);
+    let mut wide = || -> Vec<f32> { (0..WIDE).map(|_| rng.gen_range(-10.0..10.0f32)).collect() };
+    // Segment 1 holds three copies of the query on three different pages:
+    // a dead copy is attempted first (lb 0, heap empty) and then excluded
+    // by the tie with the two live copies. Segment 2 is noise, where a dead
+    // row in the refine order cannot be excluded and goes missing.
+    let q = wide();
+    let first: Vec<Vec<f32>> = (0..18u32)
+        .map(|id| if id % 6 == 0 { q.clone() } else { wide() })
+        .collect();
+    let second: Vec<Vec<f32>> = (0..48).map(|_| wide()).collect();
+    // Fault rolls are a pure function of (seed, page, attempt), so a direct
+    // call and the served request see the same losses. Find a schedule that
+    // both loses ids and absorbs a loss by bounds, in different numbers —
+    // the shape that tells the two trace fields apart.
+    let (registry, engine, direct) = (0..u64::MAX)
+        .find_map(|seed| {
+            let registry = MetricsRegistry::new();
+            let mut config = IngestConfig::new(WIDE);
+            config.fault = Some(hc_storage::FaultConfig {
+                seed,
+                unreadable_rate: 0.4,
+                ..hc_storage::FaultConfig::none()
+            });
+            let engine = IngestEngine::new(Arc::new(WalDevice::new()), config, &registry);
+            for (id, v) in first.iter().enumerate() {
+                engine
+                    .insert(PointId(id as u32), v.clone())
+                    .expect("admitted");
+            }
+            engine.seal();
+            for (id, v) in second.iter().enumerate() {
+                engine
+                    .insert(PointId(100 + id as u32), v.clone())
+                    .expect("admitted");
+            }
+            engine.seal();
+            let a = engine.query(&q, 2);
+            (!a.missing.is_empty() && a.fault_excluded > 0 && a.fault_excluded != a.missing.len())
+                .then_some((registry, Arc::new(engine), a))
+        })
+        .expect("some fault schedule both degrades and excludes by bounds");
+
+    let server = QueryServer::start_ingest(
+        Arc::clone(&engine),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        &registry,
+    );
+    let ticket = server.submit(q, 2, None).expect("admitted");
+    match ticket.wait() {
+        QueryOutcome::Degraded { missing, .. } => assert_eq!(missing, direct.missing),
+        other => panic!("expected Degraded, got {other:?}"),
+    }
+    let trace = *registry
+        .traces()
+        .to_vec()
+        .last()
+        .expect("the request was traced");
+    assert_eq!(trace.missing as usize, direct.missing.len());
+    assert_eq!(
+        trace.fault_excluded as usize, direct.fault_excluded,
+        "fault_excluded is the engine's bound-exclusion count, not the lost ids"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn statusz_reports_the_ingest_section() {
     let registry = MetricsRegistry::new();
     let device = Arc::new(WalDevice::new());

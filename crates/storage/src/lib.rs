@@ -15,7 +15,9 @@
 //! checksums verified on every physical read ([`codec`]), reads go through
 //! the [`PageStore`] trait and return `Result<&[f32], StorageError>`, a
 //! seedable [`FaultInjector`] can make any fault class actually happen, and
-//! [`RetryPolicy`] bounds the recovery effort above it. Backoff waits go
+//! [`RetryPolicy`] bounds the recovery effort above it. Every engine's exact
+//! reads run through the one lb-ordered refiner in [`refine`], which owns that
+//! ladder and the degradation verdict for reads it loses. Backoff waits go
 //! through the [`Clock`] abstraction, so the only real `thread::sleep` in
 //! the recovery path lives inside [`RealClock`] and tests run on a
 //! [`SimulatedClock`]. A [`Scrubber`] pass (DESIGN.md §11) walks every
@@ -29,6 +31,7 @@ pub mod fault;
 pub mod io_stats;
 pub mod ordering;
 pub mod point_file;
+pub mod refine;
 pub mod retry;
 pub mod scrub;
 pub mod store;

@@ -1,11 +1,12 @@
 //! Bounded retries with decorrelated-jitter backoff (DESIGN.md §10).
 //!
-//! The refiner reads candidate points through [`RetryPolicy::fetch`] instead
-//! of calling the store directly. Transient faults ([`StorageError::is_transient`])
-//! are retried up to `max_retries` times with a decorrelated-jitter sleep
-//! between attempts; permanent faults and exhausted budgets surface to the
-//! caller, which degrades around the loss (hc-query drops the candidate and
-//! marks the response `Degraded`).
+//! The refiner's [`crate::refine::Fetcher`] reads candidate points through
+//! [`RetryPolicy::fetch_with`] instead of calling the store directly.
+//! Transient faults ([`StorageError::is_transient`]) are retried up to
+//! `max_retries` times with a decorrelated-jitter sleep between attempts;
+//! permanent faults and exhausted budgets surface to the refiner, which
+//! degrades around the loss (the candidate is deferred and, unless its lower
+//! bound excludes it, the response is marked `Degraded`).
 //!
 //! Defaults are zero-cost: `base = Duration::ZERO` means no sleeping at all,
 //! so unit tests and benches with faults disabled pay nothing. The backoff is
@@ -18,7 +19,7 @@ use std::time::Duration;
 use hc_core::dataset::PointId;
 use hc_obs::{Counter, Histogram, MetricsRegistry};
 
-use crate::clock::{Clock, RealClock};
+use crate::clock::Clock;
 use crate::error::StorageError;
 use crate::point_file::PageBuffer;
 use crate::store::PageStore;
@@ -87,21 +88,8 @@ impl RetryPolicy {
     /// Fetch a point through `store`, retrying transient faults. Returns the
     /// point floats, or the error that exhausted the budget / was permanent.
     /// Every attempt, success, exhaustion, and backoff sleep is recorded in
-    /// `obs` (no-op until bound to a registry). Backoff waits go through the
-    /// wall clock ([`RealClock`]); engines that must not block real time use
-    /// [`RetryPolicy::fetch_with`] and supply their own [`Clock`].
-    pub fn fetch<'s>(
-        &self,
-        store: &'s dyn PageStore,
-        id: PointId,
-        buffer: &mut PageBuffer,
-        obs: &RetryObs,
-    ) -> Result<&'s [f32], StorageError> {
-        self.fetch_with(store, id, buffer, obs, &RealClock)
-    }
-
-    /// [`RetryPolicy::fetch`] with an explicit time source: backoff waits are
-    /// handed to `clock` instead of `thread::sleep`, so a
+    /// `obs` (no-op until bound to a registry). Backoff waits are handed to
+    /// `clock` instead of `thread::sleep`, so a
     /// [`crate::clock::SimulatedClock`] makes nonzero-base policies free and
     /// deterministically inspectable.
     pub fn fetch_with<'s>(

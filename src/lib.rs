@@ -9,7 +9,8 @@
 //! * [`core`] — histograms (HC-W/D/V/O), bit-packed approximate points,
 //!   distance bounds, metrics, and the §4 cost model.
 //! * [`storage`] — the paged disk simulator and point file with I/O
-//!   accounting.
+//!   accounting, and the optimal multi-step refiner every engine reads
+//!   through.
 //! * [`io`] — the concurrent fetch broker between refiners and the page
 //!   store: cross-query single-flight page coalescing, a GoVector-style
 //!   hot/cold shared page buffer, and the batch-aware device cost model
@@ -17,9 +18,9 @@
 //! * [`index`] — C2LSH, iDistance, VA-file, VP-tree, R-tree.
 //! * [`cache`] — HFF/LRU policies over exact, compact, C-VA, and leaf-node
 //!   caches.
-//! * [`query`] — Algorithm 1 (three-phase kNN search) and the optimal
-//!   multi-step refiner, plus the offline builder that replays a workload to
-//!   derive `F'` and candidate frequencies.
+//! * [`query`] — Algorithm 1 (three-phase kNN search) and the tree search,
+//!   plus the offline builder that replays a workload to derive `F'` and
+//!   candidate frequencies.
 //! * [`workload`] — synthetic dataset presets and Zipf query logs.
 //! * [`obs`] — the metrics registry, phase spans, per-query trace ring, and
 //!   Prometheus/JSON exporters every layer above reports into.

@@ -130,43 +130,37 @@ proptest! {
     }
 
     /// (7): multi-step refinement with arbitrary *sound* lower bounds always
-    /// returns the exact kNN among candidates.
+    /// returns the exact kNN among candidates — for every look-ahead depth,
+    /// and with any prefix of the points already known exactly.
     #[test]
-    fn multistep_is_exact_for_sound_bounds(
+    fn refine_is_exact_for_sound_bounds(
         rows in small_points(3, 15),
         q in prop::collection::vec(-120.0f32..120.0, 3..=3),
         k in 1usize..5,
         slack in prop::collection::vec(0.0f64..50.0, 15),
+        lookahead in 0usize..=8,
+        known in 0usize..15,
     ) {
-        use exploit_every_bit::cache::point::NoCache;
-        use exploit_every_bit::query::multistep::{multistep_refine, Pending};
-        use exploit_every_bit::storage::PointFile;
+        use exploit_every_bit::storage::refine::{refine, BestK, Candidate, Fetcher, NoSink};
+        use exploit_every_bit::storage::{PointFile, RealClock, RetryObs, RetryPolicy};
 
         let ds = Dataset::from_rows(&rows);
         let file = PointFile::new(ds.clone());
-        let pending: Vec<Pending> = ds
-            .iter()
-            .map(|(id, p)| {
-                let d = euclidean(&q, p);
+        let mut best = BestK::new(k);
+        let mut candidates = Vec::new();
+        for (id, p) in ds.iter() {
+            let d = euclidean(&q, p);
+            if id.index() < known {
+                best.push(id, d);
+            } else {
                 // A sound lower bound: exact distance minus arbitrary slack.
                 let lb = (d - slack[id.index() % slack.len()]).max(0.0);
-                Pending { id, lb, ub: f64::INFINITY }
-            })
-            .collect();
-        let mut buf = file.begin_query();
-        let out = multistep_refine(
-            &file,
-            &mut buf,
-            &q,
-            k,
-            &[],
-            pending,
-            &mut NoCache,
-            &exploit_every_bit::storage::RetryPolicy::default(),
-            &exploit_every_bit::storage::RetryObs::new(),
-            &exploit_every_bit::storage::RealClock,
-            0,
-        );
+                candidates.push(Candidate { id, lb });
+            }
+        }
+        let obs = RetryObs::new();
+        let mut fetcher = Fetcher::new(&file, RetryPolicy::default(), &obs, &RealClock);
+        let out = refine(&mut fetcher, &q, best, candidates, Vec::new(), lookahead, &mut NoSink);
         // Compare against sorted exact distances.
         let mut all: Vec<f64> = ds.iter().map(|(_, p)| euclidean(&q, p)).collect();
         all.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
