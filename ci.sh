@@ -28,7 +28,8 @@ grep -q '"name":"serve.deadline_slack_p05_us","label":"overload"' target/metrics
 # equivalence battery under all three kernel selections — default (runtime
 # feature detection), AVX2 pinned on at compile time, and SIMD force-disabled
 # via the env override — then a microbench smoke whose own asserts require
-# bit-identical bounds from every kernel and a real speedup on the SIMD path.
+# bit-identical bounds from every kernel and a real speedup on the SIMD path;
+# its leaf-shaped row does the same for the node caches' per-leaf routine.
 # serve_scale above already asserted the ≥2× phase.bounds win end to end;
 # here we check the series landed in both reports.
 cargo test -q -p hc-core --test scan_equivalence
@@ -37,6 +38,8 @@ HC_SCAN_SIMD=off cargo test -q -p hc-core --test scan_equivalence
 cargo run -q --release -p hc-bench --bin scan -- --smoke
 test -s target/metrics/scan.metrics.json
 grep -q '"name":"scan.speedup_blocked_simd"' target/metrics/scan.metrics.json
+grep -q '"name":"scan.leaf_ns_per_point"' target/metrics/scan.metrics.json
+grep -q '"name":"scan.speedup_leaf"' target/metrics/scan.metrics.json
 grep -q '"name":"phase.bounds_p50_ns","label":"blocked"' target/metrics/serve_scale.metrics.json
 grep -q '"name":"scan.bounds_speedup"' target/metrics/serve_scale.metrics.json
 

@@ -12,10 +12,18 @@
 //! ones. Timings include the per-query table build for the blocked kernels
 //! (that cost is real and amortizes over the candidate set). Results land
 //! in `target/metrics/scan.metrics.json` as `scan.*` gauges.
+//!
+//! The last row is leaf-shaped — what a tree query asks of the node cache:
+//! [`LEAVES`] separately allocated row-major leaves of [`LEAF_POINTS`]
+//! members, one `leaf_bounds` call each (the node caches' routine: the
+//! thread's memoised tables, filled by the query's first call, then a
+//! per-member table walk) against per-member `ApproxScheme::bounds`.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use hc_bench::world::DEFAULT_TAU;
+use hc_cache::node::leaf_bounds;
 use hc_core::bounds::DistBounds;
 use hc_core::codes::{CodeIter, PackedCodes};
 use hc_core::histogram::HistogramKind;
@@ -27,6 +35,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const SEED: u64 = 0x5ca9;
+/// Leaves a `tree_warm` query probes, and members per leaf (one 4 KiB page
+/// of d = 150 `f32` points).
+const LEAVES: usize = 1_900;
+const LEAF_POINTS: usize = 6;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,7 +69,7 @@ fn main() {
     let quantizer = Quantizer::new(0.0, 256.0, 1024);
     let flat: Vec<f32> = rows.iter().flatten().copied().collect();
     let hist = HistogramKind::EquiDepth.build(&quantizer.frequency_array(&flat), 1 << tau.min(20));
-    let scheme = GlobalScheme::new(hist, quantizer, dim);
+    let scheme: Arc<dyn ApproxScheme> = Arc::new(GlobalScheme::new(hist, quantizer, dim));
 
     // Encode once into both layouts.
     let mut packed = PackedCodes::with_capacity(dim, scheme.tau(), n);
@@ -68,6 +80,14 @@ fn main() {
         packed.push(CodeIter::new(&words, scheme.tau(), dim));
     }
     let blocked = BlockedCodes::from_packed(&packed);
+    let leaves: Vec<Vec<u64>> = (0..LEAVES)
+        .map(|l| {
+            (0..LEAF_POINTS)
+                .flat_map(|i| packed.point_words((l * LEAF_POINTS + i) % n))
+                .copied()
+                .collect()
+        })
+        .collect();
 
     let qs: Vec<Vec<f32>> = (0..queries)
         .map(|_| (0..dim).map(|_| rng.gen_range(0.0f32..256.0)).collect())
@@ -81,8 +101,38 @@ fn main() {
     let mut t_scalar = Vec::with_capacity(queries);
     let mut t_blocked = Vec::with_capacity(queries);
     let mut t_simd = Vec::with_capacity(queries);
+    let mut t_leaf_scalar = Vec::with_capacity(queries);
+    let mut t_leaf = Vec::with_capacity(queries);
     let mut reference = vec![DistBounds::UNKNOWN; n];
+    let wpp = scheme.words_per_point();
     for q in &qs {
+        let t0 = Instant::now();
+        let want: Vec<Vec<DistBounds>> = leaves
+            .iter()
+            .map(|leaf| {
+                leaf.chunks_exact(wpp)
+                    .map(|w| scheme.bounds(q, w))
+                    .collect()
+            })
+            .collect();
+        t_leaf_scalar.push(t0.elapsed().as_nanos() as u64);
+        let t0 = Instant::now();
+        let got: Vec<Vec<DistBounds>> = leaves
+            .iter()
+            .map(|leaf| leaf_bounds(&scheme, q, leaf))
+            .collect();
+        t_leaf.push(t0.elapsed().as_nanos() as u64);
+        for (l, (got, want)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(got.len(), want.len(), "leaf {l} member count");
+            for (got, want) in got.iter().zip(want) {
+                assert_eq!(
+                    (got.lb.to_bits(), got.ub.to_bits()),
+                    (want.lb.to_bits(), want.ub.to_bits()),
+                    "leaf path diverged from scalar at leaf {l}",
+                );
+            }
+        }
+
         let t0 = Instant::now();
         for (i, r) in reference.iter_mut().enumerate() {
             *r = scheme.bounds(q, packed.point_words(i));
@@ -135,7 +185,29 @@ fn main() {
         );
     }
 
+    let leaf_scalar_ns = p50(&mut t_leaf_scalar);
+    let leaf_ns = p50(&mut t_leaf);
+    let per_leaf_point = |ns: u64| ns as f64 / (LEAVES * LEAF_POINTS) as f64;
+    println!("leaf-shaped: {LEAVES} leaves × {LEAF_POINTS} points, one call per leaf");
+    for (name, ns) in [("leaf-scalar", leaf_scalar_ns), ("leaf-tables", leaf_ns)] {
+        println!(
+            "{name:<16} {:>12.1} {:>12.2} {:>9.2}×",
+            ns as f64 / 1e3,
+            per_leaf_point(ns),
+            leaf_scalar_ns as f64 / ns as f64
+        );
+    }
+
     let registry = MetricsRegistry::global();
+    registry
+        .gauge("scan.leaf_scalar_ns_per_point")
+        .set(per_leaf_point(leaf_scalar_ns));
+    registry
+        .gauge("scan.leaf_ns_per_point")
+        .set(per_leaf_point(leaf_ns));
+    registry
+        .gauge("scan.speedup_leaf")
+        .set(leaf_scalar_ns as f64 / leaf_ns as f64);
     registry.gauge("scan.points").set(n as f64);
     registry.gauge("scan.dim").set(dim as f64);
     registry

@@ -20,6 +20,9 @@
 //! * [`concurrent`] — the `&self` / `Send + Sync` counterpart of
 //!   [`point::PointCache`] for multi-threaded serving (`hc-serve`), plus the
 //!   [`concurrent::SharedPointCache`] adapter back into the engine's trait,
+//! * [`tables`] — the per-thread memo of per-query bucket-distance tables
+//!   that both towers' table-driven bound paths share (one fill per query
+//!   per thread, one table buffer per thread),
 //! * [`swap`] — generational handles ([`swap::SwappablePointCache`],
 //!   [`swap::SwappableNodeCache`]) that let a maintenance daemon hot-swap a
 //!   freshly rebuilt cache under live readers (§3.5 periodic rebuild).
@@ -35,6 +38,7 @@ pub mod node;
 pub mod obs;
 pub mod point;
 pub mod swap;
+pub mod tables;
 
 pub use concurrent::{
     ConcurrentNodeCache, ConcurrentPointCache, SharedNodeCache, SharedPointCache,

@@ -13,14 +13,17 @@
 //!   prune whole nodes before they are fetched; costs
 //!   `points · ⌈d·τ/64⌉ · 8` bytes per leaf.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use hc_core::bounds::DistBounds;
+use hc_core::codes::CodeIter;
+use hc_core::scan::Simd;
 use hc_core::scheme::ApproxScheme;
 use hc_obs::MetricsRegistry;
 
 use crate::obs::CacheObs;
+use crate::tables::with_query_tables;
 
 /// Result of probing a node cache for one leaf.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,6 +57,29 @@ pub trait NodeCache {
     /// the node-granularity mirror of `PointCache::bind_obs`. The default is
     /// a no-op (e.g. [`NoNodeCache`] has nothing to report).
     fn bind_obs(&mut self, _registry: &MetricsRegistry) {}
+}
+
+/// Bound every member of one cached leaf: `words` is the leaf's row-major
+/// packed codes, `scheme.words_per_point()` words per member in leaf order.
+///
+/// This is the one bounding routine of the compact node caches. Members
+/// walk the thread's memoised per-query tables ([`with_query_tables`]): one
+/// table fill per query, then `d` table reads per member instead of `d`
+/// interval computations — in dimension-ascending order, so every bound is
+/// bit-identical to [`ApproxScheme::bounds`]. Schemes without
+/// per-dimension intervals (mHC-R) call `scheme.bounds` per member.
+///
+/// It takes no cache state, so a concurrent wrapper can run it *after*
+/// releasing whatever lock guarded the probe that produced `words`.
+pub fn leaf_bounds(scheme: &Arc<dyn ApproxScheme>, q: &[f32], words: &[u64]) -> Vec<DistBounds> {
+    let members = words.chunks_exact(scheme.words_per_point());
+    let (tau, d) = (scheme.tau(), scheme.dim());
+    with_query_tables(scheme, q, Simd::Auto, |tables| match tables {
+        Some(t) => members
+            .map(|w| t.lane_bounds(CodeIter::new(w, tau, d)))
+            .collect(),
+        None => members.map(|w| scheme.bounds(q, w)).collect(),
+    })
 }
 
 /// A node cache that caches nothing (NO-CACHE baseline for tree search).
@@ -162,8 +188,8 @@ impl NodeCache for ExactNodeCache {
 /// Compact leaf cache: per-leaf packed approximate points.
 pub struct CompactNodeCache {
     scheme: Arc<dyn ApproxScheme>,
-    /// leaf → (packed words of all member points, member count).
-    resident: HashMap<u32, (Vec<u64>, usize)>,
+    /// leaf → row-major packed words of all member points.
+    resident: HashMap<u32, Vec<u64>>,
     used: usize,
     capacity_bytes: usize,
     obs: CacheObs,
@@ -196,7 +222,7 @@ impl CompactNodeCache {
         for p in points {
             self.scheme.encode_into(p, &mut words);
         }
-        self.resident.insert(leaf, (words, n));
+        self.resident.insert(leaf, words);
         self.used += bytes;
         true
     }
@@ -223,13 +249,9 @@ impl NodeCache for CompactNodeCache {
                 self.obs.misses.inc();
                 NodeLookup::Miss
             }
-            Some((words, n)) => {
+            Some(words) => {
                 self.obs.hits.inc();
-                let wpp = self.scheme.words_per_point();
-                let bounds = (0..*n)
-                    .map(|i| self.scheme.bounds(q, &words[i * wpp..(i + 1) * wpp]))
-                    .collect();
-                NodeLookup::Bounds(bounds)
+                NodeLookup::Bounds(leaf_bounds(&self.scheme, q, words))
             }
         }
     }
@@ -352,8 +374,14 @@ pub struct LruNodeCache {
 }
 
 struct LruNodeInner {
-    /// leaf → (packed words, member count, recency stamp).
-    resident: HashMap<u32, (Vec<u64>, usize, u64)>,
+    /// leaf → (row-major packed words, recency stamp). The words sit behind
+    /// an `Arc` so a probe can hand them out and the caller can bound them
+    /// after the cache (and any lock around it) has moved on — an eviction
+    /// in between drops the map's reference, not the probed words.
+    resident: HashMap<u32, (Arc<[u64]>, u64)>,
+    /// stamp → leaf, for every resident leaf: the first entry is the LRU
+    /// victim. Stamps come from `clock` and are never reused.
+    recency: BTreeMap<u64, u32>,
     used: usize,
     clock: u64,
 }
@@ -364,6 +392,7 @@ impl LruNodeCache {
             scheme,
             inner: std::cell::RefCell::new(LruNodeInner {
                 resident: HashMap::new(),
+                recency: BTreeMap::new(),
                 used: 0,
                 clock: 0,
             }),
@@ -380,27 +409,32 @@ impl LruNodeCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The cache-state half of a lookup: find `leaf`, make it the most
+    /// recently used, count the hit or miss, and return its packed words
+    /// for [`leaf_bounds`]. No bound is computed here, so this is all a
+    /// lock around the cache has to cover.
+    pub fn probe(&self, leaf: u32) -> Option<Arc<[u64]>> {
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
+        let Some((words, stamp)) = inner.resident.get_mut(&leaf) else {
+            self.obs.misses.inc();
+            return None;
+        };
+        self.obs.hits.inc();
+        inner.clock += 1;
+        inner.recency.remove(stamp);
+        *stamp = inner.clock;
+        inner.recency.insert(inner.clock, leaf);
+        Some(Arc::clone(words))
+    }
 }
 
 impl NodeCache for LruNodeCache {
     fn lookup(&self, q: &[f32], leaf: u32) -> NodeLookup {
-        let mut inner = self.inner.borrow_mut();
-        inner.clock += 1;
-        let clock = inner.clock;
-        match inner.resident.get_mut(&leaf) {
-            None => {
-                self.obs.misses.inc();
-                NodeLookup::Miss
-            }
-            Some((words, n, stamp)) => {
-                self.obs.hits.inc();
-                *stamp = clock;
-                let wpp = self.scheme.words_per_point();
-                let bounds = (0..*n)
-                    .map(|i| self.scheme.bounds(q, &words[i * wpp..(i + 1) * wpp]))
-                    .collect();
-                NodeLookup::Bounds(bounds)
-            }
+        match self.probe(leaf) {
+            None => NodeLookup::Miss,
+            Some(words) => NodeLookup::Bounds(leaf_bounds(&self.scheme, q, &words)),
         }
     }
 
@@ -410,31 +444,29 @@ impl NodeCache for LruNodeCache {
         if bytes > self.capacity_bytes {
             return; // a single oversized leaf can never fit
         }
-        let mut inner = self.inner.borrow_mut();
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
         if inner.resident.contains_key(&leaf) {
             return;
         }
-        // Evict least-recently-used leaves until the new one fits. Linear
-        // scan per eviction is fine: evictions are rare relative to lookups
-        // and the resident set is small (hundreds of leaves).
+        // Evict least-recently-used leaves until the new one fits.
         while inner.used + bytes > self.capacity_bytes {
-            let victim = inner
-                .resident
-                .iter()
-                .min_by_key(|(_, (_, _, stamp))| *stamp)
-                .map(|(&l, _)| l)
+            let (_, victim) = inner
+                .recency
+                .pop_first()
                 .expect("used > 0 implies non-empty");
-            let (_, vn, _) = inner.resident.remove(&victim).expect("present");
-            inner.used -= vn * self.scheme.bytes_per_point();
+            let (words, _) = inner.resident.remove(&victim).expect("present");
+            inner.used -= words.len() * 8;
             self.obs.evictions.inc();
         }
         let mut words = Vec::with_capacity(n * self.scheme.words_per_point());
         for p in points {
             self.scheme.encode_into(p, &mut words);
         }
+        debug_assert_eq!(words.len() * 8, bytes);
         inner.clock += 1;
-        let clock = inner.clock;
-        inner.resident.insert(leaf, (words, n, clock));
+        inner.resident.insert(leaf, (words.into(), inner.clock));
+        inner.recency.insert(inner.clock, leaf);
         inner.used += bytes;
         self.obs.insertions.inc();
         self.obs.used_bytes.set(inner.used as f64);
@@ -554,6 +586,67 @@ mod lru_tests {
             snap.gauge("cache.capacity_bytes"),
             Some((per_leaf * 2) as f64)
         );
+    }
+
+    /// Every bound a compact node cache returns is `scheme.bounds` of that
+    /// member, bit for bit — HFF and LRU flavours. The caches sit on two
+    /// different schemes and take the same query alternately on this one
+    /// thread, so each lookup finds the table memo filled for the *other*
+    /// scheme and must not use it.
+    #[test]
+    fn lookups_are_bit_identical_to_scheme_bounds() {
+        let quant = Quantizer::new(0.0, 10.0, 64);
+        let coarse: Arc<dyn ApproxScheme> =
+            Arc::new(GlobalScheme::new(equi_width(64, 4), quant.clone(), 2));
+        let fine = scheme(2);
+        let pts = leaf_points(1.0, 6);
+        let members = || pts.iter().map(|p| p.as_slice());
+        let lru = LruNodeCache::new(Arc::clone(&coarse), 1 << 16);
+        lru.admit(3, &mut members());
+        let mut hff = CompactNodeCache::new(Arc::clone(&fine), 1 << 16);
+        assert!(hff.try_fill(3, members()));
+        let caches: [(&dyn NodeCache, &Arc<dyn ApproxScheme>); 2] =
+            [(&lru, &coarse), (&hff, &fine)];
+        let q = [1.25f32, 7.5];
+        for round in 0..2 {
+            for (cache, scheme) in caches {
+                let NodeLookup::Bounds(got) = cache.lookup(&q, 3) else {
+                    panic!("{} round {round}: not a compact hit", cache.label());
+                };
+                assert_eq!(got.len(), pts.len());
+                for (got, p) in got.iter().zip(&pts) {
+                    let want = scheme.bounds(&q, &scheme.encode(p));
+                    assert_eq!(
+                        (got.lb.to_bits(), got.ub.to_bits()),
+                        (want.lb.to_bits(), want.ub.to_bits()),
+                        "{} round {round}",
+                        cache.label()
+                    );
+                }
+            }
+        }
+    }
+
+    /// A probed leaf's words outlive its eviction: `probe` hands out a
+    /// reference of its own, which is what lets a concurrent wrapper bound
+    /// after dropping its lock.
+    #[test]
+    fn probed_words_survive_eviction() {
+        let s = scheme(2);
+        let per_leaf = 3 * s.bytes_per_point();
+        let c = LruNodeCache::new(Arc::clone(&s), per_leaf);
+        let pts = leaf_points(2.0, 3);
+        c.admit(1, &mut pts.iter().map(|p| p.as_slice()));
+        let words = c.probe(1).expect("resident");
+        c.admit(2, &mut leaf_points(5.0, 3).iter().map(|p| p.as_slice()));
+        assert!(!c.contains(1), "the one-leaf budget evicted leaf 1");
+        assert!(c.probe(1).is_none());
+        let q = [2.0f32, 2.0];
+        for (b, p) in leaf_bounds(&s, &q, &words).iter().zip(&pts) {
+            let want = s.bounds(&q, &s.encode(p));
+            assert_eq!(b.lb.to_bits(), want.lb.to_bits());
+            assert_eq!(b.ub.to_bits(), want.ub.to_bits());
+        }
     }
 
     #[test]

@@ -1,0 +1,119 @@
+//! The per-thread memo of per-query bucket-distance tables.
+//!
+//! [`QueryTables`] cost `O(d·nb)` to fill (≈ 614 KB at d = 150, τ = 8) and
+//! are worth that only when many candidates are bounded through one fill.
+//! The point tower gets there by batching (`lookup_batch` hands a whole
+//! candidate set to one call); the node tower cannot — a tree query asks
+//! `lookup(q, leaf)` once per leaf, ≈ 1,900 times with the same `q`. So the
+//! tables live in one thread-local slot keyed on *(scheme identity, query
+//! bits)*: the first call of a query fills them, every later call of that
+//! query on that thread reuses them. Serving workers are long-lived and run
+//! one query at a time, so the slot is also the only table storage a worker
+//! ever allocates — both towers go through it.
+
+use std::cell::RefCell;
+use std::sync::Arc;
+
+use hc_core::scan::{QueryTables, Simd};
+use hc_core::scheme::ApproxScheme;
+
+#[derive(Default)]
+struct TableMemo {
+    /// A *held clone* of the scheme the tables were built for. Holding it
+    /// pins the allocation, so `Arc::ptr_eq` can never match a different
+    /// scheme that was allocated at a recycled address — which a raw pointer
+    /// (or the address of `q`) as the key could.
+    scheme: Option<Arc<dyn ApproxScheme>>,
+    /// `f32::to_bits` of the query the tables were built for.
+    q_bits: Vec<u32>,
+    tables: QueryTables,
+}
+
+impl TableMemo {
+    fn holds(&self, scheme: &Arc<dyn ApproxScheme>, q: &[f32]) -> bool {
+        self.scheme.as_ref().is_some_and(|s| Arc::ptr_eq(s, scheme))
+            && self.q_bits.len() == q.len()
+            && self.q_bits.iter().zip(q).all(|(&b, v)| b == v.to_bits())
+    }
+}
+
+thread_local! {
+    static MEMO: RefCell<TableMemo> = RefCell::new(TableMemo::default());
+}
+
+/// Run `f` with this thread's tables for `(scheme, q)`, filling them only
+/// when the previous call on this thread was for a different scheme or
+/// query. `f` gets `None` for schemes without per-dimension bucket intervals
+/// (`scan_intervals()` is `None`: the multi-dimensional scheme), which keep
+/// the scalar `ApproxScheme::bounds` path.
+///
+/// `simd` selects the kernel of a fill; the entries are bit-identical either
+/// way, so it is not part of the key. `f` must not call back into this
+/// function (the slot is borrowed for its duration).
+pub fn with_query_tables<R>(
+    scheme: &Arc<dyn ApproxScheme>,
+    q: &[f32],
+    simd: Simd,
+    f: impl FnOnce(Option<&QueryTables>) -> R,
+) -> R {
+    let Some(intervals) = scheme.scan_intervals() else {
+        return f(None);
+    };
+    MEMO.with(|cell| {
+        let mut memo = cell.borrow_mut();
+        if !memo.holds(scheme, q) {
+            // Forget the key first: a fill that panics half way must not
+            // leave the old key over partly overwritten entries.
+            memo.scheme = None;
+            memo.tables.rebuild(q, &intervals, simd);
+            memo.q_bits.clear();
+            memo.q_bits.extend(q.iter().map(|v| v.to_bits()));
+            memo.scheme = Some(Arc::clone(scheme));
+        }
+        f(Some(&memo.tables))
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hc_core::codes::CodeIter;
+    use hc_core::histogram::classic::equi_width;
+    use hc_core::quantize::Quantizer;
+    use hc_core::scheme::GlobalScheme;
+
+    fn scheme(buckets: u32) -> Arc<dyn ApproxScheme> {
+        let quant = Quantizer::new(0.0, 10.0, 64);
+        Arc::new(GlobalScheme::new(equi_width(64, buckets), quant, 3))
+    }
+
+    fn bounds_via_memo(s: &Arc<dyn ApproxScheme>, q: &[f32], words: &[u64]) -> (u64, u64) {
+        with_query_tables(s, q, Simd::Auto, |t| {
+            let b = t
+                .expect("global scheme has intervals")
+                .lane_bounds(CodeIter::new(words, s.tau(), s.dim()));
+            (b.lb.to_bits(), b.ub.to_bits())
+        })
+    }
+
+    /// Same query, same thread, different scheme (and then a different query
+    /// under the same scheme): the memo must refill both times.
+    #[test]
+    fn memo_is_keyed_on_scheme_identity_and_query_bits() {
+        let (coarse, fine) = (scheme(4), scheme(16));
+        let p = [1.5f32, 7.25, 9.0];
+        let q = [2.0f32, 2.0, 0.5];
+        for s in [&coarse, &fine, &coarse] {
+            for q in [q, [2.0, 2.0, 0.75], q] {
+                let words = s.encode(&p);
+                let want = s.bounds(&q, &words);
+                assert_eq!(
+                    bounds_via_memo(s, &q, &words),
+                    (want.lb.to_bits(), want.ub.to_bits()),
+                    "tau={} q={q:?}",
+                    s.tau()
+                );
+            }
+        }
+    }
+}

@@ -10,23 +10,30 @@
 //!   random schemes, queries, lanes-per-block, and ragged tail blocks;
 //! * AVX2 gather path ≡ scalar-blocked fallback under forced kernel
 //!   selection (`Simd::ForceAvx2` vs `Simd::Scalar`);
-//! * the 4-lane exact-distance kernel's AVX2 path ≡ its portable reference.
+//! * the 4-lane exact-distance kernel's AVX2 path ≡ its portable reference;
+//! * the node caches' leaf routine (`hc_cache::node::leaf_bounds`: memoised
+//!   tables + a per-member walk over row-major words) ≡ per-member
+//!   `ApproxScheme::bounds`, for global, individual (ragged) and
+//!   multi-dimensional schemes, τ ∈ {1, 5, 8, 13, 32}, leaves of 1, 6 and 65
+//!   members.
 //!
 //! CI runs this suite three times: default, `RUSTFLAGS="-C
 //! target-feature=+avx2"`, and `HC_SCAN_SIMD=off` (see `ci.sh`).
 
 use std::sync::Arc;
 
-use hc_core::bounds::DistBounds;
-use hc_core::codes::PackedCodes;
+use hc_cache::node::leaf_bounds;
+use hc_core::bounds::{BoundsAcc, DistBounds};
+use hc_core::codes::{pack_codes, words_per_point, CodeIter, PackedCodes};
 use hc_core::dataset::Dataset;
 use hc_core::distance::sq_euclidean_portable;
 use hc_core::histogram::classic::{equi_depth, equi_width};
+use hc_core::histogram::multidim::MultiDimBuckets;
 use hc_core::quantize::Quantizer;
 use hc_core::scan::{
     avx2_available, scan_slots, BlockedCodes, QueryTables, ScanIntervals, ScanScratch, Simd,
 };
-use hc_core::scheme::{ApproxScheme, GlobalScheme, IndividualScheme};
+use hc_core::scheme::{ApproxScheme, GlobalScheme, IndividualScheme, MultiDimScheme};
 use proptest::prelude::*;
 
 /// Assert two bound pairs are bit-identical (not merely close).
@@ -282,4 +289,149 @@ fn scan_intervals_through_trait_object() {
     let want = scheme.bounds(&q, &words);
     let got = tables.lane_bounds(hc_core::codes::CodeIter::new(&words, scheme.tau(), 2));
     assert_bits_eq(got, want, "trait object");
+}
+
+/// A shared-table scheme whose code width is chosen freely: `nb` buckets
+/// packed at `tau` bits. Real histograms tie τ to the bucket count
+/// (`⌈log₂ B⌉`), which puts τ = 32 out of reach; the leaf routine's decode
+/// and table walk depend on τ and the tables on `nb`, separately.
+struct WideScheme {
+    d: usize,
+    tau: u32,
+    real: Vec<(f32, f32)>,
+}
+
+impl WideScheme {
+    fn code_of(&self, v: f32) -> u32 {
+        self.real
+            .iter()
+            .position(|&(_, hi)| v <= hi)
+            .unwrap_or(self.real.len() - 1) as u32
+    }
+}
+
+impl ApproxScheme for WideScheme {
+    fn dim(&self) -> usize {
+        self.d
+    }
+    fn tau(&self) -> u32 {
+        self.tau
+    }
+    fn words_per_point(&self) -> usize {
+        words_per_point(self.d, self.tau)
+    }
+    fn encode_into(&self, point: &[f32], out: &mut Vec<u64>) {
+        pack_codes(point.iter().map(|&v| self.code_of(v)), self.tau, out);
+    }
+    fn bounds(&self, q: &[f32], words: &[u64]) -> DistBounds {
+        let mut acc = BoundsAcc::new();
+        for (j, code) in CodeIter::new(words, self.tau, self.d).enumerate() {
+            let (lo, hi) = self.real[code as usize];
+            acc.add(q[j], lo, hi);
+        }
+        acc.finish()
+    }
+    fn error_norm_sq(&self, _words: &[u64]) -> f64 {
+        unreachable!("the leaf routine never asks")
+    }
+    fn scan_intervals(&self) -> Option<ScanIntervals<'_>> {
+        Some(ScanIntervals::Shared(&self.real))
+    }
+}
+
+/// Values in `[0, 100)`, deterministic, different per `(point, dim, salt)`.
+fn leaf_value(i: usize, j: usize, salt: usize) -> f32 {
+    ((i * 131 + j * 37 + salt * 17) % 1000) as f32 * 0.1
+}
+
+/// `leaf_bounds` against per-member `scheme.bounds`, bitwise, for leaves of
+/// 1, 6 and 65 members and three queries asked in the order a, b, a — the
+/// third call finds the thread's table memo holding another query's tables.
+fn assert_leaf_path_matches(scheme: &Arc<dyn ApproxScheme>, ctx: &str) {
+    let d = scheme.dim();
+    let wpp = scheme.words_per_point();
+    let query = |salt: usize| -> Vec<f32> { (0..d).map(|j| leaf_value(7, j, salt)).collect() };
+    for members in [1usize, 6, 65] {
+        let mut words = Vec::new();
+        for i in 0..members {
+            let p: Vec<f32> = (0..d).map(|j| leaf_value(i, j, members)).collect();
+            scheme.encode_into(&p, &mut words);
+        }
+        assert_eq!(words.len(), members * wpp);
+        for q in [query(1), query(2), query(1)] {
+            let got = leaf_bounds(scheme, &q, &words);
+            assert_eq!(got.len(), members, "{ctx}: member count");
+            for (i, (got, member)) in got.iter().zip(words.chunks_exact(wpp)).enumerate() {
+                let want = scheme.bounds(&q, member);
+                assert_bits_eq(*got, want, &format!("{ctx} members={members} i={i}"));
+            }
+        }
+    }
+}
+
+/// The leaf path of the node caches across scheme families and code widths.
+/// d = 19 makes τ = 5 and τ = 13 straddle word boundaries inside a member
+/// and leaves the member's last word partly used. Schemes alternate, so
+/// every `leaf_bounds` call after a switch must refill the memo.
+#[test]
+fn leaf_path_matches_scheme_bounds() {
+    const D: usize = 19;
+    let mut schemes: Vec<(String, Arc<dyn ApproxScheme>)> = Vec::new();
+    for tau in [1u32, 5, 8, 13] {
+        let n_dom = 1u32 << 13;
+        let scheme = GlobalScheme::new(
+            equi_width(n_dom, 1 << tau),
+            Quantizer::new(0.0, 100.0, n_dom),
+            D,
+        );
+        assert_eq!(scheme.tau(), tau);
+        schemes.push((format!("global tau={tau}"), Arc::new(scheme)));
+    }
+    for tau in [1u32, 5, 8, 13, 32] {
+        let real = synth_shared(2usize.pow(tau.min(5)).max(2), tau as i64);
+        let scheme = WideScheme { d: D, tau, real };
+        schemes.push((format!("wide tau={tau}"), Arc::new(scheme)));
+    }
+    for tau in [5u32, 8, 13] {
+        // Ragged: dimension j has between 2 and 2^τ buckets.
+        let n_dom = 1u32 << 13;
+        let (hists, quants): (Vec<_>, Vec<_>) = (0..D)
+            .map(|j| {
+                let buckets = if j == 3 {
+                    1 << tau
+                } else {
+                    2 + (j as u32 % 5) * 3
+                };
+                (
+                    equi_width(n_dom, buckets),
+                    Quantizer::new(-1.0 - j as f32, 101.0, n_dom),
+                )
+            })
+            .unzip();
+        let scheme = IndividualScheme::new(hists, quants);
+        assert_eq!(scheme.tau(), tau);
+        schemes.push((format!("individual tau={tau}"), Arc::new(scheme)));
+    }
+    // mHC-R: no per-dimension intervals, so the routine must fall back to
+    // `scheme.bounds` (one word per member).
+    // Slabs along dimension 0, so every point lies in exactly one rectangle.
+    let rects: Vec<(Vec<f32>, Vec<f32>)> = (0..5)
+        .map(|r| {
+            let (mut lo, mut hi) = (vec![0.0f32; D], vec![100.0f32; D]);
+            (lo[0], hi[0]) = (r as f32 * 20.0, r as f32 * 20.0 + 20.0);
+            (lo, hi)
+        })
+        .collect();
+    let multidim = MultiDimScheme::new(MultiDimBuckets::from_rects(&rects));
+    assert!(multidim.scan_intervals().is_none());
+    schemes.push(("multidim".to_owned(), Arc::new(multidim)));
+
+    for (ctx, scheme) in &schemes {
+        assert_leaf_path_matches(scheme, ctx);
+    }
+    // Back through the list in reverse: each scheme is now probed right
+    // after a *different* predecessor than the first time.
+    for (ctx, scheme) in schemes.iter().rev() {
+        assert_leaf_path_matches(scheme, ctx);
+    }
 }

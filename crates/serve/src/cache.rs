@@ -13,11 +13,11 @@
 //! per-shard LRU behaves like the global one (the workload's hot set is
 //! spread uniformly over shards by the hash).
 
-use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
 use hc_cache::concurrent::ConcurrentPointCache;
 use hc_cache::point::{CacheLookup, CompactPointCache, PointCache, ScanKernel};
+use hc_cache::tables::with_query_tables;
 use hc_core::dataset::PointId;
 use hc_core::scan::QueryTables;
 use hc_core::scheme::ApproxScheme;
@@ -164,23 +164,10 @@ impl ConcurrentPointCache for ShardedCompactCache {
         for (i, &id) in ids.iter().enumerate() {
             groups[self.shard_of(id)].push(i as u32);
         }
-        // Worker threads are long-lived, so a thread-local table buffer
-        // turns the per-query build into a pure refill (no allocations).
-        thread_local! {
-            static TABLES: RefCell<QueryTables> = RefCell::new(QueryTables::default());
-        }
-        TABLES.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            let tables: Option<&QueryTables> = match self.kernel {
-                ScanKernel::Blocked(simd) => match self.scheme.scan_intervals() {
-                    Some(iv) => {
-                        buf.rebuild(q, &iv, simd);
-                        Some(&*buf)
-                    }
-                    None => None,
-                },
-                ScanKernel::Scalar => None,
-            };
+        // The tables come from the thread's memo (`hc_cache::tables`): a
+        // refill of one long-lived buffer per worker, shared with the node
+        // tower. Scalar-kernel caches never touch it.
+        let mut probe = |tables: Option<&QueryTables>| {
             let mut shard_ids: Vec<PointId> = Vec::new();
             let mut shard_out: Vec<CacheLookup> = Vec::new();
             for (s, group) in groups.iter().enumerate() {
@@ -197,7 +184,11 @@ impl ConcurrentPointCache for ShardedCompactCache {
                     out[i as usize] = looked;
                 }
             }
-        });
+        };
+        match self.kernel {
+            ScanKernel::Blocked(simd) => with_query_tables(&self.scheme, q, simd, probe),
+            ScanKernel::Scalar => probe(None),
+        }
     }
 
     fn admit(&self, id: PointId, point: &[f32]) {

@@ -20,7 +20,7 @@
 use std::sync::{Arc, Mutex};
 
 use hc_cache::concurrent::ConcurrentNodeCache;
-use hc_cache::node::{LruNodeCache, NodeCache, NodeLookup};
+use hc_cache::node::{leaf_bounds, LruNodeCache, NodeCache, NodeLookup};
 use hc_core::scheme::ApproxScheme;
 use hc_obs::MetricsRegistry;
 
@@ -125,11 +125,20 @@ impl ShardedNodeCache {
 }
 
 impl ConcurrentNodeCache for ShardedNodeCache {
+    /// Probe under the shard lock, bound outside it: the guard is a
+    /// temporary of the `let` statement, so by the time [`leaf_bounds`]
+    /// walks the leaf's codes the shard is free for other workers — and an
+    /// eviction of this leaf in the meantime only drops the map's reference
+    /// to the words this call still holds.
     fn lookup(&self, q: &[f32], leaf: u32) -> NodeLookup {
-        self.shards[self.shard_of(leaf)]
+        let probed = self.shards[self.shard_of(leaf)]
             .lock()
             .expect("shard poisoned")
-            .lookup(q, leaf)
+            .probe(leaf);
+        match probed {
+            None => NodeLookup::Miss,
+            Some(words) => NodeLookup::Bounds(leaf_bounds(&self.scheme, q, &words)),
+        }
     }
 
     fn admit(&self, leaf: u32, points: &mut dyn ExactSizeIterator<Item = &[f32]>) {
@@ -346,6 +355,40 @@ mod tests {
             NodeLookup::Bounds(b) => assert_eq!(b.len(), 3),
             other => panic!("{other:?}"),
         }
+    }
+
+    /// Same query, same thread, across a hot swap to a generation built on
+    /// a *different* scheme: the answer must be the new scheme's bounds. The
+    /// thread's table memo still holds this query's tables for the old
+    /// scheme, so this pins that the memo is keyed on scheme identity.
+    #[test]
+    fn swap_to_another_scheme_serves_that_schemes_bounds() {
+        use hc_cache::swap::SwappableNodeCache;
+        let old = scheme(2);
+        let new: Arc<dyn ApproxScheme> = Arc::new(GlobalScheme::new(
+            equi_width(256, 4),
+            Quantizer::new(0.0, 100.0, 256),
+            2,
+        ));
+        let generation = |s: &Arc<dyn ApproxScheme>| -> Arc<dyn ConcurrentNodeCache> {
+            let c = ShardedNodeCache::lru(Arc::clone(s), 1 << 14, 2);
+            admit(&c, 5, 3);
+            Arc::new(c)
+        };
+        let cache = SwappableNodeCache::new(generation(&old));
+        let q = [6.5f32, 2.25];
+        let expect = |s: &Arc<dyn ApproxScheme>| -> NodeLookup {
+            NodeLookup::Bounds(
+                leaf_points(5, 3)
+                    .iter()
+                    .map(|p| s.bounds(&q, &s.encode(p)))
+                    .collect(),
+            )
+        };
+        assert_ne!(expect(&old), expect(&new), "schemes must disagree");
+        assert_eq!(cache.lookup(&q, 5), expect(&old));
+        cache.swap(generation(&new));
+        assert_eq!(cache.lookup(&q, 5), expect(&new));
     }
 
     #[test]

@@ -3,11 +3,15 @@
 //! hammering the shards concurrently, and the labeled per-shard `cache.*`
 //! counters must account for every operation exactly.
 
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread;
+use std::time::Duration;
 
 use hc_cache::concurrent::ConcurrentNodeCache;
 use hc_cache::node::{LruNodeCache, NodeCache, NodeLookup};
+use hc_core::bounds::DistBounds;
+use hc_core::distance::euclidean;
 use hc_core::histogram::classic::equi_width;
 use hc_core::quantize::Quantizer;
 use hc_core::scheme::{ApproxScheme, GlobalScheme};
@@ -215,4 +219,92 @@ fn totals_match_labeled_per_shard_counters() {
         .filter(|(id, _)| id.name == "cache.hits")
         .count();
     assert_eq!(hit_series, 4, "one labeled series per shard");
+}
+
+/// A scheme whose first `bounds` call reports that it has started and then
+/// waits to be released. It exposes no `scan_intervals`, so the node cache
+/// bounds through `ApproxScheme::bounds` and the gate sits exactly where
+/// the per-leaf bounding work happens.
+struct GatedScheme {
+    inner: Arc<dyn ApproxScheme>,
+    gate: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+}
+
+impl ApproxScheme for GatedScheme {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+    fn tau(&self) -> u32 {
+        self.inner.tau()
+    }
+    fn words_per_point(&self) -> usize {
+        self.inner.words_per_point()
+    }
+    fn encode_into(&self, point: &[f32], out: &mut Vec<u64>) {
+        self.inner.encode_into(point, out)
+    }
+    fn bounds(&self, q: &[f32], words: &[u64]) -> DistBounds {
+        let gate = self.gate.lock().expect("gate").take();
+        if let Some((started, release)) = gate {
+            started.send(()).expect("test is listening");
+            release
+                .recv_timeout(Duration::from_secs(20))
+                .expect("an admit on this shard never completed: the lock is held while bounding");
+        }
+        self.inner.bounds(q, words)
+    }
+    fn error_norm_sq(&self, words: &[u64]) -> f64 {
+        self.inner.error_norm_sq(words)
+    }
+}
+
+/// The shard lock covers the probe only. While one thread is inside the
+/// bounding of leaf 1, another thread's `admit` on the *same* shard
+/// completes — and, the shard holding one leaf, evicts leaf 1. The lookup
+/// still returns sound bounds for the leaf as it was probed, and the shard
+/// never exceeds its budget. (With the lock held across the bounding, the
+/// admit below would wait on the lookup and the lookup on the admit.)
+#[test]
+fn bounding_runs_outside_the_shard_lock_and_survives_eviction() {
+    let (started_tx, started_rx) = channel();
+    let (release_tx, release_rx) = channel();
+    let gated: Arc<dyn ApproxScheme> = Arc::new(GatedScheme {
+        inner: scheme(),
+        gate: Mutex::new(Some((started_tx, release_rx))),
+    });
+    let one_leaf = gated.bytes_per_point() * POINTS_PER_LEAF;
+    // One shard, room for one leaf: every admit contends with every lookup
+    // and every second admit evicts.
+    let cache = ShardedNodeCache::lru(gated, one_leaf, 1);
+    admit(&cache, 1);
+    let q = leaf_points(9)[0].clone();
+
+    let bounds = thread::scope(|scope| {
+        let lookup = scope.spawn(|| cache.lookup(&q, 1));
+        started_rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the lookup reached the bounding of leaf 1");
+        admit(&cache, 2);
+        assert!(cache.contains(2), "admit completed mid-bound");
+        assert!(!cache.contains(1), "and evicted the leaf being bounded");
+        assert_eq!(cache.shard_occupancy(), vec![(one_leaf, one_leaf)]);
+        release_tx.send(()).expect("lookup is waiting");
+        match lookup.join().expect("lookup thread") {
+            NodeLookup::Bounds(b) => b,
+            other => panic!("leaf 1 was resident when probed, got {other:?}"),
+        }
+    });
+
+    let members = leaf_points(1);
+    assert_eq!(bounds.len(), members.len());
+    for (b, p) in bounds.iter().zip(&members) {
+        let exact = euclidean(&q, p);
+        assert!(
+            b.contains(exact),
+            "unsound bounds for an evicted-mid-bound leaf: {exact} outside [{}, {}]",
+            b.lb,
+            b.ub
+        );
+    }
+    assert_eq!(cache.shard_occupancy(), vec![(one_leaf, one_leaf)]);
 }

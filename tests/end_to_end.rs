@@ -347,3 +347,57 @@ fn theorem1_hit_ratio_bound_holds() {
         "compact cache should hit more often"
     );
 }
+
+/// The serving node-cache tower end to end: an iDistance tree query through
+/// `SharedNodeCache` → `SwappableNodeCache` → `ShardedNodeCache`. The cache
+/// starts empty and admits the leaves the first pass reads, so the second
+/// pass of the same queries runs on compact hits; both passes must return
+/// the exact top-k (brute force), and every cached leaf's bounds must be
+/// bit-equal to per-member `scheme.bounds`.
+#[test]
+fn sharded_node_cache_tree_search_is_exact_and_bounds_match_scheme() {
+    use exploit_every_bit::cache::node::NodeLookup;
+    use exploit_every_bit::cache::{ConcurrentNodeCache, SharedNodeCache, SwappableNodeCache};
+    use exploit_every_bit::index::{IDistance, LeafedIndex};
+    use exploit_every_bit::query::TreeSearchEngine;
+    use exploit_every_bit::serve::ShardedNodeCache;
+
+    let env = env();
+    let scheme = hc_scheme(&env, HistogramKind::KnnOptimal, 8);
+    let tree = IDistance::build(&env.dataset, 8, 16, 3);
+    let tower: Arc<dyn ConcurrentNodeCache> = Arc::new(SwappableNodeCache::new(Arc::new(
+        ShardedNodeCache::lru(Arc::clone(&scheme), env.dataset.file_bytes() / 2, 4),
+    )));
+    let adapter = SharedNodeCache::new(Arc::clone(&tower));
+    let engine = TreeSearchEngine::new(&tree, &env.dataset, &env.file, &adapter);
+
+    let mut compact_hits = 0;
+    for pass in 0..2 {
+        for q in env.log.test.iter().take(8) {
+            let (got, stats) = engine.query(q, env.k);
+            assert!(stats.is_exact(), "pass {pass}: no faults are injected");
+            let mut all: Vec<f64> = env.dataset.iter().map(|(_, p)| euclidean(q, p)).collect();
+            all.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            assert_eq!(got.len(), env.k);
+            for ((id, d), want) in got.iter().zip(&all) {
+                assert!((d - want).abs() < 1e-9, "pass {pass}: {d} vs {want}");
+                assert!((euclidean(q, env.dataset.point(*id)) - d).abs() < 1e-9);
+            }
+        }
+        let q = &env.log.test[0];
+        for leaf in 0..tree.num_leaves() {
+            let NodeLookup::Bounds(bounds) = tower.lookup(q, leaf) else {
+                continue;
+            };
+            compact_hits += 1;
+            let members = tree.leaf_points(leaf);
+            assert_eq!(bounds.len(), members.len(), "leaf {leaf}");
+            for (b, &id) in bounds.iter().zip(members) {
+                let want = scheme.bounds(q, &scheme.encode(env.dataset.point(id)));
+                assert_eq!(b.lb.to_bits(), want.lb.to_bits(), "leaf {leaf} {id}");
+                assert_eq!(b.ub.to_bits(), want.ub.to_bits(), "leaf {leaf} {id}");
+            }
+        }
+    }
+    assert!(compact_hits > 0, "the searches admitted no leaf");
+}
