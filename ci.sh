@@ -24,14 +24,13 @@ grep -q '"name":"serve.qps","label":"tree"' target/metrics/serve_scale.metrics.j
 grep -q '"name":"serve.queue_wait_p99_us"' target/metrics/serve_scale.metrics.json
 grep -q '"name":"serve.deadline_slack_p05_us","label":"overload"' target/metrics/serve_scale.metrics.json
 
-# Blocked compact-scan kernels (DESIGN.md §15): the scalar-vs-vectorized
+# Table-driven bound kernels (DESIGN.md §15): the scalar-vs-vectorized
 # equivalence battery under all three kernel selections — default (runtime
 # feature detection), AVX2 pinned on at compile time, and SIMD force-disabled
 # via the env override — then a microbench smoke whose own asserts require
-# bit-identical bounds from every kernel and a real speedup on the SIMD path;
-# its leaf-shaped row does the same for the node caches' per-leaf routine.
-# serve_scale above already asserted the ≥2× phase.bounds win end to end;
-# here we check the series landed in both reports.
+# bit-identical bounds from every kernel and a real speedup over scalar on
+# each kind of traffic: the dense blocked scan (segment sidecars), the node
+# caches' per-leaf routine and the point cache's batch path.
 cargo test -q -p hc-core --test scan_equivalence
 RUSTFLAGS="-C target-feature=+avx2" cargo test -q -p hc-core --test scan_equivalence
 HC_SCAN_SIMD=off cargo test -q -p hc-core --test scan_equivalence
@@ -40,8 +39,8 @@ test -s target/metrics/scan.metrics.json
 grep -q '"name":"scan.speedup_blocked_simd"' target/metrics/scan.metrics.json
 grep -q '"name":"scan.leaf_ns_per_point"' target/metrics/scan.metrics.json
 grep -q '"name":"scan.speedup_leaf"' target/metrics/scan.metrics.json
-grep -q '"name":"phase.bounds_p50_ns","label":"blocked"' target/metrics/serve_scale.metrics.json
-grep -q '"name":"scan.bounds_speedup"' target/metrics/serve_scale.metrics.json
+grep -q '"name":"scan.point_ns_per_hit"' target/metrics/scan.metrics.json
+grep -q '"name":"scan.speedup_point"' target/metrics/scan.metrics.json
 
 # Ops plane: exposition-grammar lint, request-trace/SLO/admin integration
 # tests, then a live endpoint smoke — bind an ephemeral admin port against

@@ -32,7 +32,6 @@
 use std::sync::Arc;
 
 use hc_bench::world::{World, DEFAULT_TAU};
-use hc_cache::point::{CompactPointCache, ScanKernel};
 use hc_cache::SwappablePointCache;
 use hc_core::dataset::PointId;
 use hc_core::distance::euclidean;
@@ -41,7 +40,7 @@ use hc_index::traits::{CandidateIndex, LeafedIndex};
 use hc_index::IDistance;
 use hc_maint::{warm_fill_node_cache, MaintDaemon, WorkloadSampler};
 use hc_obs::{MetricsRegistry, SloConfig, SloMonitor, SloState};
-use hc_query::{KnnEngine, MaintenanceConfig, SharedParts, TreeSharedParts};
+use hc_query::{MaintenanceConfig, SharedParts, TreeSharedParts};
 use hc_serve::{
     run_closed_loop, LoadReport, QueryServer, ServeConfig, ShardedCompactCache, ShardedNodeCache,
 };
@@ -110,12 +109,7 @@ fn main() {
         cache_bytes as f64 / 1e3,
     );
 
-    let World {
-        index,
-        file,
-        replay,
-        ..
-    } = world;
+    let World { index, file, .. } = world;
     let index: Arc<C2lshHolder> = Arc::new(C2lshHolder(index));
     let file = Arc::new(file);
     let registry = MetricsRegistry::global();
@@ -298,49 +292,6 @@ fn main() {
         k,
         registry,
     );
-
-    // Blocked-kernel payoff under this run's own workload: the same engine
-    // and queries through a scalar-kernel cache and a blocked one. Answers
-    // must agree exactly; `phase.bounds` must come out ahead.
-    {
-        let run = |kernel: ScanKernel| -> (Vec<Vec<PointId>>, u64) {
-            let cache = CompactPointCache::hff_with_kernel(
-                &dataset,
-                &replay.ranking,
-                node_cache_bytes,
-                Arc::clone(&scheme),
-                kernel,
-            );
-            let mut engine = KnnEngine::new(index.as_ref(), file.as_ref(), Box::new(cache));
-            let mut ids_per_q = Vec::with_capacity(recovery_b.len());
-            let mut bounds_ns: Vec<u64> = Vec::with_capacity(recovery_b.len());
-            for q in &recovery_b {
-                let (mut ids, stats) = engine.query(q, k);
-                ids.sort_unstable();
-                ids_per_q.push(ids);
-                bounds_ns.push(stats.bounds_cpu.as_nanos() as u64);
-            }
-            bounds_ns.sort_unstable();
-            (ids_per_q, bounds_ns[bounds_ns.len() / 2])
-        };
-        let (ids_scalar, scalar_p50) = run(ScanKernel::Scalar);
-        let (ids_blocked, blocked_p50) = run(ScanKernel::default());
-        assert_eq!(
-            ids_scalar, ids_blocked,
-            "bound kernels must agree on every answer"
-        );
-        let speedup = scalar_p50 as f64 / blocked_p50.max(1) as f64;
-        println!(
-            "bounds kernel: phase.bounds p50 scalar {:.1}µs -> blocked {:.1}µs ({speedup:.2}x), answers identical",
-            scalar_p50 as f64 / 1e3,
-            blocked_p50 as f64 / 1e3,
-        );
-        registry.gauge("drift.bounds_speedup").set(speedup);
-        assert!(
-            speedup > 1.0,
-            "blocked kernel must improve phase.bounds over scalar, got {speedup:.2}x"
-        );
-    }
 
     hc_bench::report::emit("drift");
 }

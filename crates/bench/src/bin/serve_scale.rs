@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use hc_bench::world::{World, DEFAULT_TAU};
 use hc_cache::node::NoNodeCache;
-use hc_cache::point::{CompactPointCache, ScanKernel};
+use hc_cache::point::CompactPointCache;
 use hc_core::dataset::PointId;
 use hc_core::distance::euclidean;
 use hc_core::histogram::HistogramKind;
@@ -117,66 +117,6 @@ fn main() {
         requests,
         cache_bytes as f64 / 1e6,
     );
-
-    // --- Scan-kernel comparison: the same warm HFF cache contents probed
-    // through the scalar reference kernel and the blocked (table-driven)
-    // kernel. Bounds are bit-identical by construction, so the top-k id
-    // sets must match exactly; the payoff is phase-2 bound CPU, read off
-    // `QueryStats::bounds_cpu` per query.
-    {
-        let registry = MetricsRegistry::global();
-        let run = |kernel: ScanKernel| -> (Vec<Vec<PointId>>, Vec<u64>) {
-            let cache = CompactPointCache::hff_with_kernel(
-                &world.dataset,
-                &world.replay.ranking,
-                cache_bytes,
-                Arc::clone(&scheme),
-                kernel,
-            );
-            let mut engine = KnnEngine::new(&world.index, &world.file, Box::new(cache));
-            engine.io_model = IoModel::HDD;
-            let mut ids_all = Vec::with_capacity(queries.len());
-            let mut bounds_ns = Vec::with_capacity(queries.len());
-            for q in &queries {
-                let (mut ids, stats) = engine.query(q, k);
-                ids.sort_unstable_by_key(|id| id.0);
-                ids_all.push(ids);
-                bounds_ns.push(stats.bounds_cpu.as_nanos() as u64);
-            }
-            (ids_all, bounds_ns)
-        };
-        let (ids_scalar, mut ns_scalar) = run(ScanKernel::Scalar);
-        let (ids_blocked, mut ns_blocked) = run(ScanKernel::default());
-        for (i, (a, b)) in ids_scalar.iter().zip(&ids_blocked).enumerate() {
-            assert_eq!(
-                a, b,
-                "query {i}: blocked kernel changed the top-k result set"
-            );
-        }
-        let p50 = |v: &mut Vec<u64>| -> u64 {
-            v.sort_unstable();
-            v[v.len() / 2]
-        };
-        let scalar_p50 = p50(&mut ns_scalar).max(1);
-        let blocked_p50 = p50(&mut ns_blocked).max(1);
-        let speedup = scalar_p50 as f64 / blocked_p50 as f64;
-        println!(
-            "scan kernels: phase.bounds p50 scalar {:.1}µs → blocked {:.1}µs ({speedup:.2}×), results identical",
-            scalar_p50 as f64 / 1e3,
-            blocked_p50 as f64 / 1e3,
-        );
-        registry
-            .gauge_with_label("phase.bounds_p50_ns", "scalar")
-            .set(scalar_p50 as f64);
-        registry
-            .gauge_with_label("phase.bounds_p50_ns", "blocked")
-            .set(blocked_p50 as f64);
-        registry.gauge("scan.bounds_speedup").set(speedup);
-        assert!(
-            speedup >= 2.0,
-            "blocked kernel must at least double phase-2 bound throughput, got {speedup:.2}×"
-        );
-    }
 
     // Move the heavy parts behind Arcs for the server workers.
     let dataset = world.dataset.clone();

@@ -9,13 +9,10 @@
 //! Methods: no-cache, exact, c-va, mhc-r, hc-w, hc-d, hc-v, hc-o,
 //! ihc-w, ihc-d, ihc-o. Repeat `--method` / `--tau` / `--k` to sweep.
 
-use std::sync::Arc;
-
 use hc_bench::world::{Method, World};
-use hc_cache::point::{CompactPointCache, ScanKernel};
 use hc_core::histogram::HistogramKind;
 use hc_obs::MetricsRegistry;
-use hc_query::{DriftMonitor, KnnEngine};
+use hc_query::DriftMonitor;
 use hc_workload::{Preset, Scale};
 
 fn main() {
@@ -82,45 +79,6 @@ fn main() {
         cs as f64 / 1e6,
         cs_frac * 100.0
     );
-    // Kernel exactness cross-check before the sweep proper: every answer
-    // the engine produces must be byte-for-byte independent of the bound
-    // kernel, so run the default compact method through the scalar and the
-    // blocked kernel and compare top-k id sets per query.
-    {
-        let scheme = world.scheme(HistogramKind::KnnOptimal, taus[0]);
-        let k = ks[0];
-        let per_kernel: Vec<Vec<Vec<_>>> = [ScanKernel::Scalar, ScanKernel::default()]
-            .into_iter()
-            .map(|kernel| {
-                let cache = CompactPointCache::hff_with_kernel(
-                    &world.dataset,
-                    &world.replay.ranking,
-                    cs,
-                    Arc::clone(&scheme),
-                    kernel,
-                );
-                let mut engine = KnnEngine::new(&world.index, &world.file, Box::new(cache));
-                world
-                    .log
-                    .test
-                    .iter()
-                    .map(|q| {
-                        let (mut ids, _) = engine.query(q, k);
-                        ids.sort_unstable();
-                        ids
-                    })
-                    .collect()
-            })
-            .collect();
-        assert_eq!(
-            per_kernel[0], per_kernel[1],
-            "scalar and blocked kernels must return identical top-k sets"
-        );
-        println!(
-            "kernel cross-check: {} queries, scalar vs blocked top-{k} identical",
-            world.log.test.len()
-        );
-    }
     println!(
         "{:<10} {:>4} {:>4} {:>10} {:>10} {:>12} {:>12} {:>14}",
         "method", "τ", "k", "|C(q)|", "C_refine", "I/O pages", "hit×prune", "refine (s)"

@@ -21,11 +21,15 @@
 //!   [`point::PointCache`] for multi-threaded serving (`hc-serve`), plus the
 //!   [`concurrent::SharedPointCache`] adapter back into the engine's trait,
 //! * [`tables`] — the per-thread memo of per-query bucket-distance tables
-//!   that both towers' table-driven bound paths share (one fill per query
-//!   per thread, one table buffer per thread),
-//! * [`swap`] — generational handles ([`swap::SwappablePointCache`],
-//!   [`swap::SwappableNodeCache`]) that let a maintenance daemon hot-swap a
-//!   freshly rebuilt cache under live readers (§3.5 periodic rebuild).
+//!   (one fill per query per thread, one table buffer per thread) and
+//!   [`tables::row_bounder`], the one routine that bounds a cached point
+//!   through them: both towers store a point as its contiguous row-major
+//!   words, the point cache's batch path calls it per hit and the node
+//!   caches per leaf member,
+//! * [`swap`] — one generational cell ([`swap::Swappable`], instantiated as
+//!   [`swap::SwappablePointCache`] and [`swap::SwappableNodeCache`]) that
+//!   lets a maintenance daemon hot-swap a freshly rebuilt cache under live
+//!   readers (§3.5 periodic rebuild).
 //!
 //! Byte accounting matches the paper's model: an exact item costs
 //! `d · 4` bytes, a compact item `⌈d·τ/64⌉` words (footnote 5); lookup-table

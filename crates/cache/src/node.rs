@@ -17,13 +17,12 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use hc_core::bounds::DistBounds;
-use hc_core::codes::CodeIter;
 use hc_core::scan::Simd;
 use hc_core::scheme::ApproxScheme;
 use hc_obs::MetricsRegistry;
 
 use crate::obs::CacheObs;
-use crate::tables::with_query_tables;
+use crate::tables::{row_bounder, with_query_tables};
 
 /// Result of probing a node cache for one leaf.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,22 +62,20 @@ pub trait NodeCache {
 /// packed codes, `scheme.words_per_point()` words per member in leaf order.
 ///
 /// This is the one bounding routine of the compact node caches. Members
-/// walk the thread's memoised per-query tables ([`with_query_tables`]): one
-/// table fill per query, then `d` table reads per member instead of `d`
-/// interval computations — in dimension-ascending order, so every bound is
-/// bit-identical to [`ApproxScheme::bounds`]. Schemes without
-/// per-dimension intervals (mHC-R) call `scheme.bounds` per member.
+/// go through the thread's memoised per-query tables ([`with_query_tables`]:
+/// one table fill per query) and [`row_bounder`] — the routine the point
+/// cache's batch path bounds its hits with — so every bound is bit-identical
+/// to [`ApproxScheme::bounds`], which schemes without per-dimension
+/// intervals (mHC-R) fall back to.
 ///
 /// It takes no cache state, so a concurrent wrapper can run it *after*
 /// releasing whatever lock guarded the probe that produced `words`.
 pub fn leaf_bounds(scheme: &Arc<dyn ApproxScheme>, q: &[f32], words: &[u64]) -> Vec<DistBounds> {
-    let members = words.chunks_exact(scheme.words_per_point());
-    let (tau, d) = (scheme.tau(), scheme.dim());
-    with_query_tables(scheme, q, Simd::Auto, |tables| match tables {
-        Some(t) => members
-            .map(|w| t.lane_bounds(CodeIter::new(w, tau, d)))
-            .collect(),
-        None => members.map(|w| scheme.bounds(q, w)).collect(),
+    with_query_tables(scheme, q, Simd::Auto, |tables| {
+        words
+            .chunks_exact(scheme.words_per_point())
+            .map(row_bounder(scheme.as_ref(), tables, q))
+            .collect()
     })
 }
 

@@ -13,20 +13,27 @@
 //! Each cache supports the static **HFF** policy (constructed full from the
 //! workload's frequency ranking, immutable at query time) and the dynamic
 //! **LRU** policy (admit on fetch, evict least-recently-used).
+//!
+//! The compact cache has one layout and two ways to read it: a slot is its
+//! point's row-major packed words; `lookup` bounds a hit with the scalar
+//! `ApproxScheme::bounds` (the reference), `lookup_batch` fills the thread's
+//! per-query tables once and walks each hit's row through them
+//! ([`crate::tables::row_bounder`], shared with the node caches) — same
+//! residency, recency and counters, bit-identical bounds.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use hc_core::bounds::{BoundsAcc, DistBounds};
-use hc_core::codes::CodeIter;
+use hc_core::bounds::DistBounds;
 use hc_core::dataset::{Dataset, PointId};
 use hc_core::distance::euclidean;
-use hc_core::scan::{scan_slots, BlockedCodes, QueryTables, ScanScratch, Simd};
+use hc_core::scan::{QueryTables, Simd};
 use hc_core::scheme::ApproxScheme;
 use hc_obs::MetricsRegistry;
 
 use crate::lru::LruList;
 use crate::obs::CacheObs;
+use crate::tables::{row_bounder, with_query_tables};
 
 /// Cache replacement / placement policy (paper §2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,32 +110,14 @@ pub trait PointCache {
     /// Semantically identical to calling [`PointCache::lookup`] per id in
     /// order (including LRU recency effects and hit/miss accounting) — the
     /// default does exactly that — but batch-aware caches override it to
-    /// amortize per-query work: the compact cache builds its bucket-distance
-    /// tables once and runs the blocked scan kernels over all resident
-    /// candidates (`hc_core::scan`).
+    /// amortize per-query work: the compact cache fills the per-query
+    /// bucket-distance tables once (`crate::tables`) and bounds every
+    /// resident candidate with `d` table reads.
     fn lookup_batch(&mut self, q: &[f32], ids: &[PointId], out: &mut Vec<CacheLookup>) {
         out.clear();
         for &id in ids {
             out.push(self.lookup(q, id));
         }
-    }
-}
-
-/// Which phase-2 bound kernel a [`CompactPointCache`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanKernel {
-    /// Row-major storage, per-candidate `ApproxScheme::bounds` — the
-    /// reference implementation every blocked result is proven against.
-    Scalar,
-    /// Dimension-major (transposed) storage scanned block-at-a-time through
-    /// per-query tables, with the given SIMD selection for the inner
-    /// table-gather loop. Bit-identical to `Scalar` by construction.
-    Blocked(Simd),
-}
-
-impl Default for ScanKernel {
-    fn default() -> Self {
-        ScanKernel::Blocked(Simd::Auto)
     }
 }
 
@@ -368,38 +357,46 @@ impl PointCache for ExactPointCache {
     }
 }
 
-/// Code storage of a [`CompactPointCache`] — one of the two layouts,
-/// selected by [`ScanKernel`] at construction.
-///
-/// Both hold the same τ-bit codes; `Blocked` is the transposed reshape (the
-/// bits of a point reconstruct exactly via
-/// `BlockedCodes::gather_point_words`), so byte accounting is unchanged:
-/// a point still costs `scheme.bytes_per_point()` (blocked rows pack
-/// `64·τ` bits per 64 lanes — at most the row-major word-aligned footprint,
-/// plus one partial tail block).
-enum CodeStore {
-    Rows { words: Vec<u64>, wpp: usize },
-    Blocked { codes: BlockedCodes },
-}
-
 /// Compact cache of bit-packed approximate points under a scheme.
+///
+/// One row-major slab: slot `s` owns the `wpp = ⌈d·τ/64⌉` contiguous words
+/// `words[s·wpp .. (s+1)·wpp]` — the paper's per-point item (§3.2, footnote
+/// 5), probed by id and written one admitted point at a time, which is the
+/// traffic a point cache sees. (The dimension-major layout of
+/// `hc_core::scan` serves sequential whole-list scans; DESIGN.md §15 has the
+/// measurements that put each layout where it is.)
 pub struct CompactPointCache {
     slots: Slots,
     scheme: Arc<dyn ApproxScheme>,
-    store: CodeStore,
-    kernel: ScanKernel,
+    words: Vec<u64>,
+    /// Words per slot: `scheme.words_per_point()`.
+    wpp: usize,
     capacity_bytes: usize,
     policy: CachePolicy,
+    /// Encode buffer of [`CompactPointCache::write_slot`].
     scratch: Vec<u64>,
-    /// Reusable batch-probe buffers (slot/output pairs + kernel scratch).
-    pairs: Vec<(u32, u32)>,
-    bounds_buf: Vec<DistBounds>,
-    scan_scratch: ScanScratch,
-    tables_buf: QueryTables,
     obs: CacheObs,
 }
 
 impl CompactPointCache {
+    fn new(
+        scheme: Arc<dyn ApproxScheme>,
+        max_items: usize,
+        capacity_bytes: usize,
+        policy: CachePolicy,
+    ) -> Self {
+        Self {
+            slots: Slots::new(max_items, policy),
+            words: Vec::new(),
+            wpp: scheme.words_per_point(),
+            scheme,
+            capacity_bytes,
+            policy,
+            scratch: Vec::new(),
+            obs: CacheObs::noop(),
+        }
+    }
+
     /// Static HFF cache filled from the frequency ranking.
     pub fn hff(
         dataset: &Dataset,
@@ -407,42 +404,9 @@ impl CompactPointCache {
         capacity_bytes: usize,
         scheme: Arc<dyn ApproxScheme>,
     ) -> Self {
-        Self::hff_with_kernel(
-            dataset,
-            ranking,
-            capacity_bytes,
-            scheme,
-            ScanKernel::default(),
-        )
-    }
-
-    /// Static HFF cache under an explicit bound kernel (benches pin
-    /// [`ScanKernel::Scalar`] as the baseline of the speedup comparisons).
-    pub fn hff_with_kernel(
-        dataset: &Dataset,
-        ranking: &[PointId],
-        capacity_bytes: usize,
-        scheme: Arc<dyn ApproxScheme>,
-        kernel: ScanKernel,
-    ) -> Self {
         assert_eq!(scheme.dim(), dataset.dim());
-        let per = scheme.bytes_per_point();
-        let max_items = (capacity_bytes / per).min(dataset.len());
-        let slots = Slots::new(max_items, CachePolicy::Hff);
-        let mut cache = Self {
-            slots,
-            store: Self::make_store(&scheme, kernel),
-            kernel: Self::resolve_kernel(&scheme, kernel),
-            scheme,
-            capacity_bytes,
-            policy: CachePolicy::Hff,
-            scratch: Vec::new(),
-            pairs: Vec::new(),
-            bounds_buf: Vec::new(),
-            scan_scratch: ScanScratch::default(),
-            tables_buf: QueryTables::default(),
-            obs: CacheObs::noop(),
-        };
+        let max_items = (capacity_bytes / scheme.bytes_per_point()).min(dataset.len());
+        let mut cache = Self::new(scheme, max_items, capacity_bytes, CachePolicy::Hff);
         for &id in ranking.iter().take(max_items) {
             let slot = cache.slots.fill(id);
             cache.write_slot(slot, dataset.point(id));
@@ -452,97 +416,46 @@ impl CompactPointCache {
 
     /// Dynamic LRU cache, initially empty.
     pub fn lru(scheme: Arc<dyn ApproxScheme>, capacity_bytes: usize) -> Self {
-        Self::lru_with_kernel(scheme, capacity_bytes, ScanKernel::default())
+        let max_items = capacity_bytes / scheme.bytes_per_point();
+        Self::new(scheme, max_items, capacity_bytes, CachePolicy::Lru)
     }
 
-    /// Dynamic LRU cache under an explicit bound kernel.
-    pub fn lru_with_kernel(
-        scheme: Arc<dyn ApproxScheme>,
-        capacity_bytes: usize,
-        kernel: ScanKernel,
-    ) -> Self {
-        let per = scheme.bytes_per_point();
-        let max_items = capacity_bytes / per;
-        Self {
-            slots: Slots::new(max_items, CachePolicy::Lru),
-            store: Self::make_store(&scheme, kernel),
-            kernel: Self::resolve_kernel(&scheme, kernel),
-            scheme,
-            capacity_bytes,
-            policy: CachePolicy::Lru,
-            scratch: Vec::new(),
-            pairs: Vec::new(),
-            bounds_buf: Vec::new(),
-            scan_scratch: ScanScratch::default(),
-            tables_buf: QueryTables::default(),
-            obs: CacheObs::noop(),
-        }
-    }
-
-    /// A blocked kernel needs per-dimension bucket intervals; schemes
-    /// without them (the multi-dimensional scheme) fall back to scalar.
-    fn resolve_kernel(scheme: &Arc<dyn ApproxScheme>, kernel: ScanKernel) -> ScanKernel {
-        match kernel {
-            ScanKernel::Blocked(_) if scheme.scan_intervals().is_none() => ScanKernel::Scalar,
-            k => k,
-        }
-    }
-
-    fn make_store(scheme: &Arc<dyn ApproxScheme>, kernel: ScanKernel) -> CodeStore {
-        match Self::resolve_kernel(scheme, kernel) {
-            ScanKernel::Scalar => CodeStore::Rows {
-                words: Vec::new(),
-                wpp: scheme.words_per_point(),
-            },
-            ScanKernel::Blocked(_) => CodeStore::Blocked {
-                codes: BlockedCodes::new(scheme.dim(), scheme.tau()),
-            },
-        }
-    }
-
-    /// Encode `point` and store it at `slot` in whichever layout is active.
+    /// Encode `point` into `slot`'s row (slots are reused on eviction).
     fn write_slot(&mut self, slot: u32, point: &[f32]) {
-        let s = slot as usize;
+        let at = slot as usize * self.wpp;
         self.scratch.clear();
         self.scheme.encode_into(point, &mut self.scratch);
-        match &mut self.store {
-            CodeStore::Rows { words, wpp } => {
-                if words.len() < (s + 1) * *wpp {
-                    words.resize((s + 1) * *wpp, 0);
-                }
-                words[s * *wpp..(s + 1) * *wpp].copy_from_slice(&self.scratch);
-            }
-            CodeStore::Blocked { codes } => {
-                codes.set_lane(
-                    s,
-                    CodeIter::new(&self.scratch, self.scheme.tau(), self.scheme.dim()),
-                );
-            }
+        if self.words.len() < at + self.wpp {
+            self.words.resize(at + self.wpp, 0);
         }
+        self.words[at..at + self.wpp].copy_from_slice(&self.scratch);
     }
 
-    /// Bound the candidate in `slot` without per-query tables (single-probe
-    /// path). Bit-identical to `ApproxScheme::bounds`: same interval math
-    /// ([`BoundsAcc`]) in the same dimension order, just sourced from the
-    /// transposed layout when that is what we store.
-    fn slot_bounds(&self, q: &[f32], slot: u32) -> DistBounds {
-        let s = slot as usize;
-        match &self.store {
-            CodeStore::Rows { words, wpp } => {
-                self.scheme.bounds(q, &words[s * *wpp..(s + 1) * *wpp])
-            }
-            CodeStore::Blocked { codes } => {
-                let intervals = self
-                    .scheme
-                    .scan_intervals()
-                    .expect("blocked store requires scan intervals");
-                let mut acc = BoundsAcc::new();
-                for (j, code) in codes.lane_codes(s).enumerate() {
-                    let (lo, hi) = intervals.interval(j, code);
-                    acc.add(q[j], lo, hi);
+    /// Probe `ids` in order — residency, recency and hit/miss accounting —
+    /// and emit one answer per id, a hit's bounds coming from
+    /// [`row_bounder`]: `tables` is what [`with_query_tables`] yields for
+    /// `(scheme, q)`, or `None` for the scalar [`ApproxScheme::bounds`]
+    /// reference.
+    fn probe_each(
+        &mut self,
+        q: &[f32],
+        tables: Option<&QueryTables>,
+        ids: &[PointId],
+        mut emit: impl FnMut(CacheLookup),
+    ) {
+        let bound = row_bounder(self.scheme.as_ref(), tables, q);
+        for &id in ids {
+            emit(match self.slots.get(id) {
+                Some(slot) => {
+                    self.obs.hits.inc();
+                    let at = slot as usize * self.wpp;
+                    CacheLookup::Bounds(bound(&self.words[at..at + self.wpp]))
                 }
-                acc.finish()
-            }
+                None => {
+                    self.obs.misses.inc();
+                    CacheLookup::Miss
+                }
+            });
         }
     }
 
@@ -560,11 +473,6 @@ impl CompactPointCache {
         &self.scheme
     }
 
-    /// The bound kernel this cache resolved to at construction.
-    pub fn kernel(&self) -> ScanKernel {
-        self.kernel
-    }
-
     /// Like [`PointCache::bind_obs`] but under an explicit label instead of
     /// [`PointCache::label`]. Shard-per-mutex wrappers use this to keep each
     /// shard's series separate (e.g. `"COMPACT(τ=8)/LRU/shard3"`).
@@ -574,11 +482,12 @@ impl CompactPointCache {
         self.obs.capacity_bytes.set(self.capacity_bytes as f64);
     }
 
-    /// Batch probe with an optionally pre-built table set — the sharded
-    /// wrapper builds [`QueryTables`] once per query and reuses them across
-    /// shards. `tables` is ignored by scalar-kernel caches. `out[i]` answers
-    /// `ids[i]`; recency/accounting effects match per-id [`PointCache::lookup`]
-    /// calls in `ids` order.
+    /// Batch probe through tables the caller already holds — the sharded
+    /// wrapper takes them from [`with_query_tables`] once per query and
+    /// hands them to every shard it locks. `out[i]` answers `ids[i]`;
+    /// recency and accounting effects are those of per-id
+    /// [`PointCache::lookup`] calls in `ids` order, and so is every bound,
+    /// bit for bit.
     pub fn lookup_batch_with_tables(
         &mut self,
         q: &[f32],
@@ -587,75 +496,15 @@ impl CompactPointCache {
         out: &mut Vec<CacheLookup>,
     ) {
         out.clear();
-        let simd = match self.kernel {
-            ScanKernel::Blocked(simd) => simd,
-            ScanKernel::Scalar => {
-                for &id in ids {
-                    out.push(self.lookup(q, id));
-                }
-                return;
-            }
-        };
-        // Resolve residency first (LRU touches in id order, same as the
-        // sequential path), then bound all hits in one blocked pass.
-        out.resize(ids.len(), CacheLookup::Miss);
-        self.pairs.clear();
-        for (i, &id) in ids.iter().enumerate() {
-            match self.slots.get(id) {
-                Some(slot) => {
-                    self.obs.hits.inc();
-                    self.pairs.push((slot, i as u32));
-                }
-                None => self.obs.misses.inc(),
-            }
-        }
-        if self.pairs.is_empty() {
-            return;
-        }
-        let CodeStore::Blocked { codes } = &self.store else {
-            unreachable!("blocked kernel implies blocked store");
-        };
-        let intervals = self
-            .scheme
-            .scan_intervals()
-            .expect("blocked store requires scan intervals");
-        let tables = match tables {
-            Some(t) => t,
-            None => {
-                // Rebuild into the cache-owned buffer: per-query table cost
-                // is then the fill alone, not two large allocations.
-                self.tables_buf.rebuild(q, &intervals, simd);
-                &self.tables_buf
-            }
-        };
-        self.bounds_buf.clear();
-        self.bounds_buf.resize(ids.len(), DistBounds::UNKNOWN);
-        scan_slots(
-            tables,
-            codes,
-            &self.pairs,
-            &mut self.bounds_buf,
-            &mut self.scan_scratch,
-            simd,
-        );
-        for &(_, i) in &self.pairs {
-            out[i as usize] = CacheLookup::Bounds(self.bounds_buf[i as usize]);
-        }
+        self.probe_each(q, tables, ids, |looked| out.push(looked));
     }
 }
 
 impl PointCache for CompactPointCache {
     fn lookup(&mut self, q: &[f32], id: PointId) -> CacheLookup {
-        match self.slots.get(id) {
-            Some(slot) => {
-                self.obs.hits.inc();
-                CacheLookup::Bounds(self.slot_bounds(q, slot))
-            }
-            None => {
-                self.obs.misses.inc();
-                CacheLookup::Miss
-            }
-        }
+        let mut looked = CacheLookup::Miss;
+        self.probe_each(q, None, &[id], |l| looked = l);
+        looked
     }
 
     fn admit(&mut self, id: PointId, point: &[f32]) {
@@ -674,7 +523,10 @@ impl PointCache for CompactPointCache {
     }
 
     fn lookup_batch(&mut self, q: &[f32], ids: &[PointId], out: &mut Vec<CacheLookup>) {
-        self.lookup_batch_with_tables(q, None, ids, out);
+        let scheme = Arc::clone(&self.scheme);
+        with_query_tables(&scheme, q, Simd::Auto, |tables| {
+            self.lookup_batch_with_tables(q, tables, ids, out)
+        });
     }
 
     fn used_bytes(&self) -> usize {
@@ -697,9 +549,13 @@ impl PointCache for CompactPointCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hc_core::bounds::BoundsAcc;
+    use hc_core::codes::{pack_codes, words_per_point, CodeIter};
     use hc_core::histogram::classic::equi_width;
+    use hc_core::histogram::multidim::MultiDimBuckets;
     use hc_core::quantize::Quantizer;
-    use hc_core::scheme::GlobalScheme;
+    use hc_core::scan::ScanIntervals;
+    use hc_core::scheme::{GlobalScheme, IndividualScheme, MultiDimScheme};
 
     fn dataset() -> Dataset {
         Dataset::from_rows(
@@ -861,51 +717,181 @@ mod tests {
         }
     }
 
-    /// The blocked kernel (single probe AND batch probe, scalar-blocked AND
-    /// SIMD) must answer bit-identically to the scalar reference cache under
-    /// the same admission history.
-    #[test]
-    fn blocked_and_scalar_kernels_agree_bitwise() {
-        let ds = dataset();
-        let s = scheme(&ds, 16);
-        let per = s.bytes_per_point();
-        let kernels = [
-            ScanKernel::Scalar,
-            ScanKernel::Blocked(hc_core::scan::Simd::Scalar),
-            ScanKernel::Blocked(hc_core::scan::Simd::Auto),
-        ];
-        let mut caches: Vec<CompactPointCache> = kernels
-            .iter()
-            .map(|&k| CompactPointCache::lru_with_kernel(Arc::clone(&s), per * 8, k))
+    /// A shared-table scheme packing its few buckets at a freely chosen
+    /// code width — real histograms tie τ to the bucket count, which puts
+    /// τ = 32 out of reach.
+    struct WideScheme {
+        d: usize,
+        tau: u32,
+        real: Vec<(f32, f32)>,
+    }
+
+    impl ApproxScheme for WideScheme {
+        fn dim(&self) -> usize {
+            self.d
+        }
+        fn tau(&self) -> u32 {
+            self.tau
+        }
+        fn words_per_point(&self) -> usize {
+            words_per_point(self.d, self.tau)
+        }
+        fn encode_into(&self, point: &[f32], out: &mut Vec<u64>) {
+            let code = |v: f32| {
+                let b = self.real.iter().position(|&(_, hi)| v <= hi);
+                b.unwrap_or(self.real.len() - 1) as u32
+            };
+            pack_codes(point.iter().map(|&v| code(v)), self.tau, out);
+        }
+        fn bounds(&self, q: &[f32], words: &[u64]) -> DistBounds {
+            let mut acc = BoundsAcc::new();
+            for (j, code) in CodeIter::new(words, self.tau, self.d).enumerate() {
+                let (lo, hi) = self.real[code as usize];
+                acc.add(q[j], lo, hi);
+            }
+            acc.finish()
+        }
+        fn error_norm_sq(&self, _words: &[u64]) -> f64 {
+            unreachable!("a point cache never asks")
+        }
+        fn scan_intervals(&self) -> Option<ScanIntervals<'_>> {
+            Some(ScanIntervals::Shared(&self.real))
+        }
+    }
+
+    /// Schemes over `D`-dimensional points with values in `[0, 21]`: global
+    /// histograms at τ ∈ {1, 5, 8, 13}, free-width tables up to τ = 32, a
+    /// ragged individual scheme, and mHC-R (no tables: the batch path must
+    /// fall back to `scheme.bounds`). `D = 7` makes τ = 5 and 13 straddle
+    /// word boundaries and leaves a row's last word partly used.
+    fn scheme_families() -> Vec<(String, Arc<dyn ApproxScheme>)> {
+        const D: usize = 7;
+        let n_dom = 1u32 << 13;
+        let mut out: Vec<(String, Arc<dyn ApproxScheme>)> = Vec::new();
+        for tau in [1u32, 5, 8, 13] {
+            let quant = Quantizer::new(0.0, 21.0, n_dom);
+            let s = GlobalScheme::new(equi_width(n_dom, 1 << tau), quant, D);
+            assert_eq!(s.tau(), tau);
+            out.push((format!("global tau={tau}"), Arc::new(s)));
+        }
+        for tau in [1u32, 5, 8, 13, 32] {
+            let nb = 1usize << tau.min(5);
+            let real = (0..nb)
+                .map(|b| {
+                    (
+                        b as f32 * 21.0 / nb as f32,
+                        (b + 1) as f32 * 21.0 / nb as f32,
+                    )
+                })
+                .collect();
+            out.push((
+                format!("wide tau={tau}"),
+                Arc::new(WideScheme { d: D, tau, real }),
+            ));
+        }
+        let (hists, quants) = (0..D)
+            .map(|j| {
+                let quant = Quantizer::new(-1.0 - j as f32, 22.0, n_dom);
+                (equi_width(n_dom, 2 + (j as u32 % 5) * 3), quant)
+            })
+            .unzip();
+        out.push((
+            "individual ragged".to_owned(),
+            Arc::new(IndividualScheme::new(hists, quants)),
+        ));
+        let rects: Vec<(Vec<f32>, Vec<f32>)> = (0..3)
+            .map(|r| {
+                let (mut lo, mut hi) = (vec![0.0f32; D], vec![21.0f32; D]);
+                (lo[0], hi[0]) = (r as f32 * 7.0, r as f32 * 7.0 + 7.0);
+                (lo, hi)
+            })
             .collect();
-        // Interleave admissions (with evictions) and probes.
-        let ops: Vec<u32> = vec![0, 3, 5, 7, 9, 11, 13, 15, 17, 19, 2, 4, 0, 3];
-        for &id in &ops {
-            for c in &mut caches {
-                c.admit(PointId(id), ds.point(PointId(id)));
-            }
-        }
-        let q = [3.3f32, 17.2];
-        let ids: Vec<PointId> = (0u32..20).map(PointId).collect();
-        // Single lookups.
-        for &id in &ids {
-            let want = caches[0].lookup(&q, id);
-            // Re-probe kernels 1.. then fix up kernel 0's extra recency
-            // touch by running identical op sequences everywhere.
-            for c in &mut caches[1..] {
-                assert_lookups_bit_identical(&c.lookup(&q, id), &want, &format!("single {id}"));
-            }
-        }
-        // Batch lookups (all at once, including misses).
-        let mut outs: Vec<Vec<CacheLookup>> = Vec::new();
-        for c in &mut caches {
-            let mut out = Vec::new();
-            c.lookup_batch(&q, &ids, &mut out);
-            outs.push(out);
-        }
-        for out in &outs[1..] {
-            for (i, (a, b)) in outs[0].iter().zip(out.iter()).enumerate() {
-                assert_lookups_bit_identical(b, a, &format!("batch idx {i}"));
+        let multidim = MultiDimScheme::new(MultiDimBuckets::from_rects(&rects));
+        assert!(multidim.scan_intervals().is_none());
+        out.push(("multidim".to_owned(), Arc::new(multidim)));
+        out
+    }
+
+    fn hits_and_misses(registry: &MetricsRegistry) -> (u64, u64) {
+        let snap = registry.snapshot();
+        (
+            snap.counter_sum("cache.hits"),
+            snap.counter_sum("cache.misses"),
+        )
+    }
+
+    /// The batch path ≡ per-id `lookup` ≡ `scheme.bounds`, bit for bit, on
+    /// two caches given the same history — one only ever probed by batch,
+    /// one only per id — under LRU (admissions with evictions, then the
+    /// same victims afterwards) and HFF, with equal hit/miss counters.
+    #[test]
+    fn batch_path_matches_per_id_lookup_and_scheme_bounds() {
+        let n = 24u32;
+        let ids: Vec<PointId> = (0..n).map(PointId).collect();
+        for (ctx, s) in scheme_families() {
+            let d = s.dim();
+            let rows: Vec<Vec<f32>> = (0..n as usize)
+                .map(|i| {
+                    (0..d)
+                        .map(|j| ((i * 131 + j * 37) % 210) as f32 * 0.1)
+                        .collect()
+                })
+                .collect();
+            let ds = Dataset::from_rows(&rows);
+            let per = s.bytes_per_point();
+            let make = |policy: CachePolicy| -> CompactPointCache {
+                match policy {
+                    CachePolicy::Hff => CompactPointCache::hff(&ds, &ids, per * 9, Arc::clone(&s)),
+                    CachePolicy::Lru => {
+                        let mut c = CompactPointCache::lru(Arc::clone(&s), per * 9);
+                        // 17 admissions into 9 slots: evictions reuse rows.
+                        for i in [0u32, 3, 5, 7, 9, 11, 13, 15, 17, 19, 2, 4, 0, 3, 23, 21, 1] {
+                            c.admit(PointId(i), ds.point(PointId(i)));
+                        }
+                        c
+                    }
+                }
+            };
+            for policy in [CachePolicy::Lru, CachePolicy::Hff] {
+                let (reg_b, reg_s) = (MetricsRegistry::new(), MetricsRegistry::new());
+                let (mut batch, mut seq) = (make(policy), make(policy));
+                batch.bind_obs(&reg_b);
+                seq.bind_obs(&reg_s);
+                // Queries go a, b, a: the third batch finds the thread's
+                // table memo holding another query's tables.
+                let probes: [Vec<PointId>; 3] = [
+                    ids.iter().rev().copied().collect(),
+                    ids.iter().step_by(2).copied().collect(),
+                    ids.clone(),
+                ];
+                for (round, probe) in probes.iter().enumerate() {
+                    let q: Vec<f32> = (0..d)
+                        .map(|j| ((j * 53 + round % 2 * 7) % 21) as f32)
+                        .collect();
+                    let mut got = Vec::new();
+                    batch.lookup_batch(&q, probe, &mut got);
+                    assert_eq!(got.len(), probe.len());
+                    for (&id, got) in probe.iter().zip(&got) {
+                        let ctx = format!("{ctx} {policy} round {round} {id}");
+                        let want = seq.lookup(&q, id);
+                        assert_lookups_bit_identical(got, &want, &ctx);
+                        if let CacheLookup::Bounds(b) = got {
+                            let reference = s.bounds(&q, &s.encode(ds.point(id)));
+                            assert_eq!(b.lb.to_bits(), reference.lb.to_bits(), "{ctx}: lb");
+                            assert_eq!(b.ub.to_bits(), reference.ub.to_bits(), "{ctx}: ub");
+                        }
+                    }
+                    assert_eq!(hits_and_misses(&reg_b), hits_and_misses(&reg_s), "{ctx}");
+                    // Same recency after the probes ⇒ same victims.
+                    let newcomer = PointId((6 + 2 * round as u32) % n);
+                    batch.admit(newcomer, ds.point(newcomer));
+                    seq.admit(newcomer, ds.point(newcomer));
+                    for &id in &ids {
+                        assert_eq!(batch.contains(id), seq.contains(id), "{ctx} {policy}: {id}");
+                    }
+                }
+                let (hits, misses) = hits_and_misses(&reg_b);
+                assert!(hits > 0 && misses > 0, "{ctx} {policy}: {hits}/{misses}");
             }
         }
     }
@@ -938,30 +924,5 @@ mod tests {
         assert!(!batch.contains(PointId(3)), "batch recency must evict 3");
         assert!(!seq.contains(PointId(3)), "sequential recency must evict 3");
         assert!(batch.contains(PointId(1)) && seq.contains(PointId(1)));
-    }
-
-    /// HFF + blocked layout: static fill goes through the transposed store.
-    #[test]
-    fn hff_blocked_store_serves_ranking() {
-        let ds = dataset();
-        let s = scheme(&ds, 16);
-        let ranking: Vec<PointId> = (0u32..20).map(PointId).collect();
-        let mut blocked = CompactPointCache::hff_with_kernel(
-            &ds,
-            &ranking,
-            1 << 20,
-            Arc::clone(&s),
-            ScanKernel::default(),
-        );
-        let mut scalar =
-            CompactPointCache::hff_with_kernel(&ds, &ranking, 1 << 20, s, ScanKernel::Scalar);
-        let q = [7.7f32, 12.1];
-        let mut out_b = Vec::new();
-        let mut out_s = Vec::new();
-        blocked.lookup_batch(&q, &ranking, &mut out_b);
-        scalar.lookup_batch(&q, &ranking, &mut out_s);
-        for (i, (a, b)) in out_s.iter().zip(out_b.iter()).enumerate() {
-            assert_lookups_bit_identical(b, a, &format!("hff idx {i}"));
-        }
     }
 }

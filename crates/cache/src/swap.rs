@@ -6,8 +6,9 @@
 //! cache is therefore held behind a generation pointer that a maintenance
 //! daemon can swap atomically while readers keep probing.
 //!
-//! [`SwappablePointCache`] / [`SwappableNodeCache`] wrap any
-//! [`ConcurrentPointCache`] / [`ConcurrentNodeCache`] behind an
+//! [`Swappable`] is that cell, written once for both towers:
+//! [`SwappablePointCache`] / [`SwappableNodeCache`] are its instances over
+//! `dyn` [`ConcurrentPointCache`] / [`ConcurrentNodeCache`], an
 //! `RwLock<Arc<dyn …>>`. Every cache operation takes the read lock just
 //! long enough to clone the inner `Arc` (a reference-count bump — no cache
 //! work happens under the lock), so the only writer-side critical section
@@ -34,23 +35,56 @@ use crate::concurrent::{ConcurrentNodeCache, ConcurrentPointCache};
 use crate::node::NodeLookup;
 use crate::point::CacheLookup;
 
-/// A point cache whose backing generation can be hot-swapped.
+/// What the cell asks of a generation: its label, and binding to a registry.
+/// Implemented by the two `dyn` cache traits, which both already have them.
+pub trait Generation {
+    fn label(&self) -> String;
+    fn bind_obs(&self, registry: &MetricsRegistry);
+}
+
+impl Generation for dyn ConcurrentPointCache {
+    fn label(&self) -> String {
+        ConcurrentPointCache::label(self)
+    }
+
+    fn bind_obs(&self, registry: &MetricsRegistry) {
+        ConcurrentPointCache::bind_obs(self, registry)
+    }
+}
+
+impl Generation for dyn ConcurrentNodeCache {
+    fn label(&self) -> String {
+        ConcurrentNodeCache::label(self)
+    }
+
+    fn bind_obs(&self, registry: &MetricsRegistry) {
+        ConcurrentNodeCache::bind_obs(self, registry)
+    }
+}
+
+/// A cache handle whose backing generation can be hot-swapped.
 ///
-/// Implements [`ConcurrentPointCache`] by delegating to the current
-/// generation; [`SwappablePointCache::swap`] installs a new generation and
-/// returns the old one (still owned by any in-flight queries that cloned it
-/// before the swap).
-pub struct SwappablePointCache {
-    current: RwLock<Arc<dyn ConcurrentPointCache>>,
+/// [`Swappable::swap`] installs a new generation and returns the old one
+/// (still owned by any in-flight queries that cloned it before the swap);
+/// the cache traits are implemented by delegating to the current one.
+pub struct Swappable<C: ?Sized> {
+    current: RwLock<Arc<C>>,
     generation: AtomicU64,
     /// Registry from the last `bind_obs`, replayed onto swapped-in
     /// generations so their shards keep feeding the same labeled series.
     registry: Mutex<Option<MetricsRegistry>>,
 }
 
-impl SwappablePointCache {
+/// A point cache whose backing generation can be hot-swapped.
+pub type SwappablePointCache = Swappable<dyn ConcurrentPointCache>;
+
+/// A node cache whose backing generation can be hot-swapped — the
+/// leaf-granularity instance of the same cell.
+pub type SwappableNodeCache = Swappable<dyn ConcurrentNodeCache>;
+
+impl<C: ?Sized + Generation> Swappable<C> {
     /// Wrap `initial` as generation 0.
-    pub fn new(initial: Arc<dyn ConcurrentPointCache>) -> Self {
+    pub fn new(initial: Arc<C>) -> Self {
         Self {
             current: RwLock::new(initial),
             generation: AtomicU64::new(0),
@@ -64,14 +98,14 @@ impl SwappablePointCache {
     }
 
     /// Clone the current generation's handle (a ref-count bump).
-    pub fn current(&self) -> Arc<dyn ConcurrentPointCache> {
+    pub fn current(&self) -> Arc<C> {
         Arc::clone(&self.current.read().expect("swap lock poisoned"))
     }
 
     /// Install `next` as the serving generation and return the previous
     /// one. The write lock is held only for the pointer store; readers that
     /// already cloned the old `Arc` finish their probe against it.
-    pub fn swap(&self, next: Arc<dyn ConcurrentPointCache>) -> Arc<dyn ConcurrentPointCache> {
+    pub fn swap(&self, next: Arc<C>) -> Arc<C> {
         // Rebind *before* publishing so the first post-swap probe already
         // counts into the live series.
         if let Some(registry) = self
@@ -88,6 +122,20 @@ impl SwappablePointCache {
         };
         self.generation.fetch_add(1, Ordering::AcqRel);
         old
+    }
+
+    fn swap_label(&self) -> String {
+        format!(
+            "SWAP(gen={})[{}]",
+            self.generation(),
+            self.current().label()
+        )
+    }
+
+    /// Remember `registry` for later swaps and bind the current generation.
+    fn bind_and_remember(&self, registry: &MetricsRegistry) {
+        *self.registry.lock().expect("registry lock poisoned") = Some(registry.clone());
+        self.current().bind_obs(registry);
     }
 }
 
@@ -120,67 +168,15 @@ impl ConcurrentPointCache for SwappablePointCache {
     }
 
     fn label(&self) -> String {
-        format!(
-            "SWAP(gen={})[{}]",
-            self.generation(),
-            self.current().label()
-        )
+        self.swap_label()
     }
 
     fn bind_obs(&self, registry: &MetricsRegistry) {
-        *self.registry.lock().expect("registry lock poisoned") = Some(registry.clone());
-        self.current().bind_obs(registry);
+        self.bind_and_remember(registry)
     }
 
     fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
-    }
-}
-
-/// A node cache whose backing generation can be hot-swapped — the
-/// leaf-granularity mirror of [`SwappablePointCache`].
-pub struct SwappableNodeCache {
-    current: RwLock<Arc<dyn ConcurrentNodeCache>>,
-    generation: AtomicU64,
-    registry: Mutex<Option<MetricsRegistry>>,
-}
-
-impl SwappableNodeCache {
-    /// Wrap `initial` as generation 0.
-    pub fn new(initial: Arc<dyn ConcurrentNodeCache>) -> Self {
-        Self {
-            current: RwLock::new(initial),
-            generation: AtomicU64::new(0),
-            registry: Mutex::new(None),
-        }
-    }
-
-    /// The generation currently serving. Starts at 0, bumps on every swap.
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
-    }
-
-    /// Clone the current generation's handle (a ref-count bump).
-    pub fn current(&self) -> Arc<dyn ConcurrentNodeCache> {
-        Arc::clone(&self.current.read().expect("swap lock poisoned"))
-    }
-
-    /// Install `next` as the serving generation and return the previous one.
-    pub fn swap(&self, next: Arc<dyn ConcurrentNodeCache>) -> Arc<dyn ConcurrentNodeCache> {
-        if let Some(registry) = self
-            .registry
-            .lock()
-            .expect("registry lock poisoned")
-            .as_ref()
-        {
-            next.bind_obs(registry);
-        }
-        let old = {
-            let mut current = self.current.write().expect("swap lock poisoned");
-            std::mem::replace(&mut *current, next)
-        };
-        self.generation.fetch_add(1, Ordering::AcqRel);
-        old
+        Swappable::generation(self)
     }
 }
 
@@ -206,20 +202,15 @@ impl ConcurrentNodeCache for SwappableNodeCache {
     }
 
     fn label(&self) -> String {
-        format!(
-            "SWAP(gen={})[{}]",
-            self.generation(),
-            self.current().label()
-        )
+        self.swap_label()
     }
 
     fn bind_obs(&self, registry: &MetricsRegistry) {
-        *self.registry.lock().expect("registry lock poisoned") = Some(registry.clone());
-        self.current().bind_obs(registry);
+        self.bind_and_remember(registry)
     }
 
     fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
+        Swappable::generation(self)
     }
 }
 

@@ -1,4 +1,5 @@
-//! The per-thread memo of per-query bucket-distance tables.
+//! The per-thread memo of per-query bucket-distance tables, and the one
+//! routine that bounds a cached point through them.
 //!
 //! [`QueryTables`] cost `O(d·nb)` to fill (≈ 614 KB at d = 150, τ = 8) and
 //! are worth that only when many candidates are bounded through one fill.
@@ -10,10 +11,16 @@
 //! query on that thread reuses them. Serving workers are long-lived and run
 //! one query at a time, so the slot is also the only table storage a worker
 //! ever allocates — both towers go through it.
+//!
+//! Both towers also store a cached point the same way — its `⌈d·τ/64⌉`
+//! row-major packed words, contiguous (paper footnote 5) — so one routine,
+//! [`row_bounder`], turns tables plus such rows into bounds for either.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
+use hc_core::bounds::DistBounds;
+use hc_core::codes::CodeIter;
 use hc_core::scan::{QueryTables, Simd};
 use hc_core::scheme::ApproxScheme;
 
@@ -74,10 +81,28 @@ pub fn with_query_tables<R>(
     })
 }
 
+/// The routine that bounds cached points for one `(scheme, q)`, given what
+/// [`with_query_tables`] handed out for them: each call takes one point's
+/// row-major packed words and reads `d` table entries in dimension-ascending
+/// order — the addition sequence of [`ApproxScheme::bounds`], so the result
+/// is bit-identical to it — or calls `scheme.bounds` itself when the scheme
+/// has no tables (mHC-R). Build it once per batch or leaf: it hoists the
+/// scheme's code geometry out of the per-point work.
+pub fn row_bounder<'a>(
+    scheme: &'a dyn ApproxScheme,
+    tables: Option<&'a QueryTables>,
+    q: &'a [f32],
+) -> impl Fn(&[u64]) -> DistBounds + 'a {
+    let (tau, d) = (scheme.tau(), scheme.dim());
+    move |row| match tables {
+        Some(t) => t.lane_bounds(CodeIter::new(row, tau, d)),
+        None => scheme.bounds(q, row),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hc_core::codes::CodeIter;
     use hc_core::histogram::classic::equi_width;
     use hc_core::quantize::Quantizer;
     use hc_core::scheme::GlobalScheme;
@@ -89,9 +114,8 @@ mod tests {
 
     fn bounds_via_memo(s: &Arc<dyn ApproxScheme>, q: &[f32], words: &[u64]) -> (u64, u64) {
         with_query_tables(s, q, Simd::Auto, |t| {
-            let b = t
-                .expect("global scheme has intervals")
-                .lane_bounds(CodeIter::new(words, s.tau(), s.dim()));
+            assert!(t.is_some(), "global scheme has intervals");
+            let b = row_bounder(s.as_ref(), t, q)(words);
             (b.lb.to_bits(), b.ub.to_bits())
         })
     }

@@ -54,6 +54,6 @@ pub mod prelude {
     pub use crate::histogram::{Histogram, HistogramKind};
     pub use crate::normalize::Normalizer;
     pub use crate::quantize::Quantizer;
-    pub use crate::scan::{BlockedCodes, QueryTables, ScanIntervals, Simd};
+    pub use crate::scan::{QueryTables, ScanIntervals, Simd};
     pub use crate::scheme::{ApproxScheme, GlobalScheme, IndividualScheme, MultiDimScheme};
 }

@@ -15,7 +15,10 @@
 //!   tables + a per-member walk over row-major words) ≡ per-member
 //!   `ApproxScheme::bounds`, for global, individual (ragged) and
 //!   multi-dimensional schemes, τ ∈ {1, 5, 8, 13, 32}, leaves of 1, 6 and 65
-//!   members.
+//!   members;
+//! * the point cache's batch path (`CompactPointCache::lookup_batch`: the
+//!   same memoised tables, one row-major row per resident id) ≡
+//!   `ApproxScheme::bounds` over the same scheme families, LRU and HFF.
 //!
 //! CI runs this suite three times: default, `RUSTFLAGS="-C
 //! target-feature=+avx2"`, and `HC_SCAN_SIMD=off` (see `ci.sh`).
@@ -23,9 +26,10 @@
 use std::sync::Arc;
 
 use hc_cache::node::leaf_bounds;
+use hc_cache::point::{CacheLookup, CompactPointCache, PointCache};
 use hc_core::bounds::{BoundsAcc, DistBounds};
 use hc_core::codes::{pack_codes, words_per_point, CodeIter, PackedCodes};
-use hc_core::dataset::Dataset;
+use hc_core::dataset::{Dataset, PointId};
 use hc_core::distance::sq_euclidean_portable;
 use hc_core::histogram::classic::{equi_depth, equi_width};
 use hc_core::histogram::multidim::MultiDimBuckets;
@@ -369,12 +373,10 @@ fn assert_leaf_path_matches(scheme: &Arc<dyn ApproxScheme>, ctx: &str) {
     }
 }
 
-/// The leaf path of the node caches across scheme families and code widths.
-/// d = 19 makes τ = 5 and τ = 13 straddle word boundaries inside a member
-/// and leaves the member's last word partly used. Schemes alternate, so
-/// every `leaf_bounds` call after a switch must refill the memo.
-#[test]
-fn leaf_path_matches_scheme_bounds() {
+/// The scheme families and code widths both table-walk legs run over. d = 19
+/// makes τ = 5 and τ = 13 straddle word boundaries inside a point's row and
+/// leaves the row's last word partly used.
+fn battery_schemes() -> Vec<(String, Arc<dyn ApproxScheme>)> {
     const D: usize = 19;
     let mut schemes: Vec<(String, Arc<dyn ApproxScheme>)> = Vec::new();
     for tau in [1u32, 5, 8, 13] {
@@ -425,7 +427,15 @@ fn leaf_path_matches_scheme_bounds() {
     let multidim = MultiDimScheme::new(MultiDimBuckets::from_rects(&rects));
     assert!(multidim.scan_intervals().is_none());
     schemes.push(("multidim".to_owned(), Arc::new(multidim)));
+    schemes
+}
 
+/// The leaf path of the node caches across scheme families and code widths.
+/// Schemes alternate, so every `leaf_bounds` call after a switch must refill
+/// the memo.
+#[test]
+fn leaf_path_matches_scheme_bounds() {
+    let schemes = battery_schemes();
     for (ctx, scheme) in &schemes {
         assert_leaf_path_matches(scheme, ctx);
     }
@@ -433,5 +443,51 @@ fn leaf_path_matches_scheme_bounds() {
     // after a *different* predecessor than the first time.
     for (ctx, scheme) in schemes.iter().rev() {
         assert_leaf_path_matches(scheme, ctx);
+    }
+}
+
+/// The point cache's batch path across the same families: every hit of
+/// `lookup_batch` — an LRU cache after evictions reused rows, and a static
+/// HFF fill — carries exactly `scheme.bounds` of the point's encoding, and
+/// every non-resident id is a miss. Queries go a, b, a, and the schemes
+/// alternate as in the leaf leg, so the memo is refilled and reused.
+#[test]
+fn point_batch_path_matches_scheme_bounds() {
+    const N: usize = 70;
+    let schemes = battery_schemes();
+    for (ctx, scheme) in schemes.iter().chain(schemes.iter().rev()) {
+        let d = scheme.dim();
+        let rows: Vec<Vec<f32>> = (0..N)
+            .map(|i| (0..d).map(|j| leaf_value(i, j, 3)).collect())
+            .collect();
+        let ds = Dataset::from_rows(&rows);
+        let ids: Vec<PointId> = (0..N as u32).map(PointId).collect();
+        let budget = scheme.bytes_per_point() * 40;
+        let mut lru = CompactPointCache::lru(Arc::clone(scheme), budget);
+        for &id in ids.iter().chain(&ids[..25]) {
+            lru.admit(id, ds.point(id));
+        }
+        let hff = CompactPointCache::hff(&ds, &ids, budget, Arc::clone(scheme));
+        for (policy, mut cache) in [("lru", lru), ("hff", hff)] {
+            assert_eq!(cache.len(), 40, "{ctx} {policy}");
+            for salt in [1usize, 2, 1] {
+                let q: Vec<f32> = (0..d).map(|j| leaf_value(7, j, salt)).collect();
+                let mut out = Vec::new();
+                cache.lookup_batch(&q, &ids, &mut out);
+                assert_eq!(out.len(), N);
+                for (&id, got) in ids.iter().zip(&out) {
+                    let ctx = format!("{ctx} {policy} {id}");
+                    match got {
+                        CacheLookup::Bounds(got) => {
+                            assert!(cache.contains(id), "{ctx}: hit on a non-resident id");
+                            let want = scheme.bounds(&q, &scheme.encode(ds.point(id)));
+                            assert_bits_eq(*got, want, &ctx);
+                        }
+                        CacheLookup::Miss => assert!(!cache.contains(id), "{ctx}: missed"),
+                        CacheLookup::Exact(_) => panic!("{ctx}: compact cache answered exact"),
+                    }
+                }
+            }
+        }
     }
 }

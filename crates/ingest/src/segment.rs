@@ -270,8 +270,13 @@ impl Segment {
             return out;
         }
         // Bound pass: one lb per unmasked candidate, sidecar only, no I/O.
-        // One table build per query, then the blocked kernel sweeps every
-        // unmasked lane — the same bit-exact pass the compact cache runs.
+        // One table build per query, then `scan_slots` sweeps the unmasked
+        // lanes of the dimension-major sidecar: whole-block where a block's
+        // survivors are a lane prefix (a freshly sealed segment: all of
+        // them), the hoisted per-lane walk where deletes or newer levels left holes.
+        // Bit-identical to `scheme.bounds`. This sequential scan is the one
+        // traffic the transposed layout serves — the point and node caches
+        // are probed by id and keep row-major words (DESIGN.md §15).
         let unmasked: Vec<u32> = locals
             .iter()
             .copied()

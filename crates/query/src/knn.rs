@@ -54,7 +54,7 @@ pub struct QueryStats {
     pub reduce_cpu: Duration,
     /// CPU time of the batched cache-bound computation alone — the
     /// `lookup_batch` call inside phase 2, excluding eager refetch I/O and
-    /// the pruning pass. This is the slice the blocked scan kernels
+    /// the pruning pass. This is the slice the per-query tables
     /// accelerate (`phase.bounds_ns`); a subset of `reduce_cpu`.
     pub bounds_cpu: Duration,
     /// CPU time of refinement (phase 3, excluding modeled disk latency).
@@ -128,7 +128,7 @@ pub struct AggregateStats {
     pub avg_gen_secs: f64,
     pub avg_reduce_secs: f64,
     /// Mean CPU of the batched bound computation (subset of
-    /// `avg_reduce_secs`) — the series the scan-kernel speedup is read from.
+    /// `avg_reduce_secs`) — the series a bound-path speedup is read from.
     pub avg_bounds_secs: f64,
     pub avg_refine_secs: f64,
     pub avg_response_secs: f64,
@@ -304,10 +304,9 @@ impl<'a> KnnEngine<'a> {
         let mut fetcher = Fetcher::new(self.file, self.retry, &self.retry_obs, self.clock.as_ref());
         let t1 = Instant::now();
         // Part 2.1a — one batched cache probe for the whole candidate set.
-        // Blocked-kernel caches compute every resident candidate's bounds in
-        // one table-driven pass (sharded caches take one lock per shard);
-        // the timing around just this call is `phase.bounds_ns`, the slice
-        // the scan kernels accelerate.
+        // The compact cache fills the per-query tables once and bounds every
+        // resident candidate with a table walk (sharded caches take one lock
+        // per shard); the timing around just this call is `phase.bounds_ns`.
         let tb = Instant::now();
         let mut lookups = Vec::with_capacity(candidates.len());
         self.cache.lookup_batch(q, &candidates, &mut lookups);

@@ -8,7 +8,7 @@
 //! * `query.count` — queries executed,
 //! * `phase.gen_ns` / `phase.reduce_ns` / `phase.refine_ns` — Algorithm 1
 //!   phase CPU histograms, plus `phase.bounds_ns` for the batched
-//!   cache-bound computation inside phase 2 (the scan-kernel hot loop),
+//!   cache-bound computation inside phase 2 (the table-walk hot loop),
 //! * `query.candidates` / `query.c_refine` / `query.io_pages` — per-query
 //!   work-size histograms,
 //! * `query.rho_hit_ppm` / `query.rho_prune_ppm` — the paper's ρ_hit and

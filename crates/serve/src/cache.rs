@@ -16,10 +16,10 @@
 use std::sync::{Arc, Mutex};
 
 use hc_cache::concurrent::ConcurrentPointCache;
-use hc_cache::point::{CacheLookup, CompactPointCache, PointCache, ScanKernel};
+use hc_cache::point::{CacheLookup, CompactPointCache, PointCache};
 use hc_cache::tables::with_query_tables;
 use hc_core::dataset::PointId;
-use hc_core::scan::QueryTables;
+use hc_core::scan::Simd;
 use hc_core::scheme::ApproxScheme;
 use hc_obs::MetricsRegistry;
 
@@ -29,38 +29,29 @@ pub struct ShardedCompactCache {
     /// `32 - log2(num_shards)`; shard = `(id * φ32) >> shard_shift`.
     shard_shift: u32,
     tau: u32,
-    /// Kept so batch probes can build the per-query scan tables *once* and
-    /// share them across every shard instead of rebuilding under each lock.
+    /// Kept so batch probes can take the per-query tables *once* and share
+    /// them across every shard instead of asking under each lock.
     scheme: Arc<dyn ApproxScheme>,
-    kernel: ScanKernel,
 }
 
-/// Knuth's multiplicative constant: ⌊2^32 / φ⌋.
-const FIB_MULT: u32 = 0x9E37_79B9;
+/// Multiplicative (Fibonacci) hash of a 32-bit key onto `2^(32 - shift)`
+/// shards — the one shard hash of the point and node caches.
+pub(crate) fn fib_shard(key: u32, shift: u32) -> usize {
+    /// Knuth's multiplicative constant: ⌊2^32 / φ⌋.
+    const FIB_MULT: u32 = 0x9E37_79B9;
+    if shift == 32 {
+        return 0; // single shard; a 32-bit shift would overflow
+    }
+    (key.wrapping_mul(FIB_MULT) >> shift) as usize
+}
 
 impl ShardedCompactCache {
     /// Dynamic LRU cache of `capacity_bytes` split evenly over `num_shards`
-    /// (a power of two) shards, probing with the default (blocked) scan
-    /// kernel.
+    /// (a power of two) shards.
     ///
     /// # Panics
     /// Panics if `num_shards` is zero or not a power of two.
     pub fn lru(scheme: Arc<dyn ApproxScheme>, capacity_bytes: usize, num_shards: usize) -> Self {
-        Self::lru_with_kernel(scheme, capacity_bytes, num_shards, ScanKernel::default())
-    }
-
-    /// [`ShardedCompactCache::lru`] with an explicit scan kernel — the
-    /// benches use this to run a scalar-reference cache next to the blocked
-    /// one on identical admission streams.
-    ///
-    /// # Panics
-    /// Panics if `num_shards` is zero or not a power of two.
-    pub fn lru_with_kernel(
-        scheme: Arc<dyn ApproxScheme>,
-        capacity_bytes: usize,
-        num_shards: usize,
-        kernel: ScanKernel,
-    ) -> Self {
         assert!(
             num_shards.is_power_of_two(),
             "num_shards must be a power of two, got {num_shards}"
@@ -68,28 +59,18 @@ impl ShardedCompactCache {
         let per_shard = capacity_bytes / num_shards;
         let tau = scheme.tau();
         let shards = (0..num_shards)
-            .map(|_| {
-                Mutex::new(CompactPointCache::lru_with_kernel(
-                    Arc::clone(&scheme),
-                    per_shard,
-                    kernel,
-                ))
-            })
+            .map(|_| Mutex::new(CompactPointCache::lru(Arc::clone(&scheme), per_shard)))
             .collect();
         Self {
             shards,
             shard_shift: 32 - num_shards.trailing_zeros(),
             tau,
             scheme,
-            kernel,
         }
     }
 
     fn shard_of(&self, id: PointId) -> usize {
-        if self.shard_shift == 32 {
-            return 0; // single shard; a 32-bit shift would be UB
-        }
-        (id.0.wrapping_mul(FIB_MULT) >> self.shard_shift) as usize
+        fib_shard(id.0, self.shard_shift)
     }
 
     pub fn num_shards(&self) -> usize {
@@ -154,8 +135,8 @@ impl ConcurrentPointCache for ShardedCompactCache {
     }
 
     /// Batch probe: one lock acquisition per *shard touched* (not per
-    /// candidate), with the per-query scan tables built once out here and
-    /// shared read-only by every shard's blocked kernel.
+    /// candidate), with the per-query tables taken once out here and shared
+    /// read-only by every shard's table walk.
     fn lookup_batch(&self, q: &[f32], ids: &[PointId], out: &mut Vec<CacheLookup>) {
         out.clear();
         out.resize(ids.len(), CacheLookup::Miss);
@@ -166,8 +147,8 @@ impl ConcurrentPointCache for ShardedCompactCache {
         }
         // The tables come from the thread's memo (`hc_cache::tables`): a
         // refill of one long-lived buffer per worker, shared with the node
-        // tower. Scalar-kernel caches never touch it.
-        let mut probe = |tables: Option<&QueryTables>| {
+        // tower.
+        with_query_tables(&self.scheme, q, Simd::Auto, |tables| {
             let mut shard_ids: Vec<PointId> = Vec::new();
             let mut shard_out: Vec<CacheLookup> = Vec::new();
             for (s, group) in groups.iter().enumerate() {
@@ -184,11 +165,7 @@ impl ConcurrentPointCache for ShardedCompactCache {
                     out[i as usize] = looked;
                 }
             }
-        };
-        match self.kernel {
-            ScanKernel::Blocked(simd) => with_query_tables(&self.scheme, q, simd, probe),
-            ScanKernel::Scalar => probe(None),
-        }
+        })
     }
 
     fn admit(&self, id: PointId, point: &[f32]) {
@@ -340,39 +317,29 @@ mod tests {
         assert_eq!(c.label(), "SHARDED-COMPACT(τ=5)/LRU×8");
     }
 
-    /// Sharded batch probes must answer exactly like per-id lookups, and a
-    /// scalar-kernel cache under the same admissions must agree bit for bit
-    /// with the default blocked one.
+    /// Sharded batch probes (tables shared across shards) must answer
+    /// exactly like per-id lookups (scalar `scheme.bounds` under the lock).
     #[test]
-    fn sharded_batch_matches_per_id_and_scalar_kernel() {
-        let blocked = ShardedCompactCache::lru(scheme(2), 1 << 14, 4);
-        let scalar =
-            ShardedCompactCache::lru_with_kernel(scheme(2), 1 << 14, 4, ScanKernel::Scalar);
+    fn sharded_batch_matches_per_id_lookups() {
+        let c = ShardedCompactCache::lru(scheme(2), 1 << 14, 4);
         for i in (0..100u32).step_by(3) {
-            blocked.admit(PointId(i), &point(i));
-            scalar.admit(PointId(i), &point(i));
+            c.admit(PointId(i), &point(i));
         }
         let q = [41.5f32, 3.25];
         let ids: Vec<PointId> = (0..100).map(PointId).collect();
-        let mut out_b = Vec::new();
-        let mut out_s = Vec::new();
-        blocked.lookup_batch(&q, &ids, &mut out_b);
-        scalar.lookup_batch(&q, &ids, &mut out_s);
-        assert_eq!(out_b.len(), ids.len());
+        let mut out = Vec::new();
+        c.lookup_batch(&q, &ids, &mut out);
+        assert_eq!(out.len(), ids.len());
         for (i, &id) in ids.iter().enumerate() {
-            // Fresh single-shard probes agree with the batch answers. (Probe
-            // order touches recency, not values — bounds depend only on the
-            // stored codes.)
-            let single = blocked.lookup(&q, id);
-            match (&out_b[i], &out_s[i], single) {
-                (CacheLookup::Miss, CacheLookup::Miss, CacheLookup::Miss) => {}
-                (CacheLookup::Bounds(b), CacheLookup::Bounds(s), CacheLookup::Bounds(g)) => {
-                    assert_eq!(b.lb.to_bits(), s.lb.to_bits(), "id {id} lb vs scalar");
-                    assert_eq!(b.ub.to_bits(), s.ub.to_bits(), "id {id} ub vs scalar");
-                    assert_eq!(b.lb.to_bits(), g.lb.to_bits(), "id {id} lb vs single");
-                    assert_eq!(b.ub.to_bits(), g.ub.to_bits(), "id {id} ub vs single");
+            // Probe order touches recency, not values — bounds depend only
+            // on the stored codes.
+            match (&out[i], c.lookup(&q, id)) {
+                (CacheLookup::Miss, CacheLookup::Miss) => assert!(id.0 % 3 != 0),
+                (CacheLookup::Bounds(b), CacheLookup::Bounds(g)) => {
+                    assert_eq!(b.lb.to_bits(), g.lb.to_bits(), "id {id} lb");
+                    assert_eq!(b.ub.to_bits(), g.ub.to_bits(), "id {id} ub");
                 }
-                other => panic!("id {id}: kernels disagree on residency {other:?}"),
+                other => panic!("id {id}: paths disagree on residency {other:?}"),
             }
         }
     }

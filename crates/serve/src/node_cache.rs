@@ -24,6 +24,8 @@ use hc_cache::node::{leaf_bounds, LruNodeCache, NodeCache, NodeLookup};
 use hc_core::scheme::ApproxScheme;
 use hc_obs::MetricsRegistry;
 
+use crate::cache::fib_shard;
+
 /// N `Mutex<LruNodeCache>` shards under one byte budget.
 pub struct ShardedNodeCache {
     shards: Vec<Mutex<LruNodeCache>>,
@@ -31,9 +33,6 @@ pub struct ShardedNodeCache {
     shard_shift: u32,
     scheme: Arc<dyn ApproxScheme>,
 }
-
-/// Knuth's multiplicative constant: ⌊2^32 / φ⌋.
-const FIB_MULT: u32 = 0x9E37_79B9;
 
 impl ShardedNodeCache {
     /// Dynamic LRU node cache of `capacity_bytes` split evenly over
@@ -89,10 +88,7 @@ impl ShardedNodeCache {
     }
 
     fn shard_of(&self, leaf: u32) -> usize {
-        if self.shard_shift == 32 {
-            return 0; // single shard; a 32-bit shift would be UB
-        }
-        (leaf.wrapping_mul(FIB_MULT) >> self.shard_shift) as usize
+        fib_shard(leaf, self.shard_shift)
     }
 
     pub fn num_shards(&self) -> usize {
