@@ -31,6 +31,7 @@ use hc_bench::world::{World, DEFAULT_TAU};
 use hc_core::dataset::PointId;
 use hc_core::distance::euclidean;
 use hc_core::histogram::HistogramKind;
+use hc_index::lsh::C2lsh;
 use hc_index::traits::{CandidateIndex, LeafedIndex};
 use hc_index::IDistance;
 use hc_obs::{MetricsRegistry, SloConfig, SloMonitor, SloState};
@@ -137,7 +138,7 @@ fn main() {
     );
 
     let World { index, file, .. } = world;
-    let index: Arc<C2lshHolder> = Arc::new(C2lshHolder(index));
+    let index = Arc::new(index);
     let file = Arc::new(file);
     let registry = MetricsRegistry::global();
 
@@ -288,7 +289,7 @@ fn main() {
 /// spike telemetry (`storage.fault.spike`, total slept) stays truthful.
 #[allow(clippy::too_many_arguments)]
 fn spike_section(
-    index: &Arc<C2lshHolder>,
+    index: &Arc<C2lsh>,
     file: &Arc<hc_storage::point_file::PointFile>,
     scheme: &Arc<dyn hc_core::scheme::ApproxScheme>,
     cache_bytes: usize,
@@ -412,7 +413,7 @@ fn spike_section(
 /// pages through the *same* injector the live server reads from → a clean
 /// burst clears the fast windows and `/healthz` recovers (200).
 fn slo_section(
-    index: &Arc<C2lshHolder>,
+    index: &Arc<C2lsh>,
     file: &Arc<hc_storage::point_file::PointFile>,
     scheme: &Arc<dyn hc_core::scheme::ApproxScheme>,
     cache_bytes: usize,
@@ -697,18 +698,4 @@ fn tree_sweep(
     println!(
         "verified: every tree Done matched brute-force top-k, every tree Degraded was exact over the readable points ({tree_degraded_total} degraded total)"
     );
-}
-
-/// Newtype so the `C2lsh` index (built by value in `World`) can be shared
-/// as an `Arc<dyn CandidateIndex>` across sweep points.
-struct C2lshHolder(hc_index::lsh::C2lsh);
-
-impl CandidateIndex for C2lshHolder {
-    fn candidates(&self, q: &[f32], k: usize) -> Vec<PointId> {
-        self.0.candidates(q, k)
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
 }

@@ -33,9 +33,9 @@ use std::sync::Arc;
 
 use hc_bench::world::{World, DEFAULT_TAU};
 use hc_cache::SwappablePointCache;
-use hc_core::dataset::PointId;
 use hc_core::distance::euclidean;
 use hc_core::histogram::HistogramKind;
+use hc_index::lsh::C2lsh;
 use hc_index::traits::{CandidateIndex, LeafedIndex};
 use hc_index::IDistance;
 use hc_maint::{warm_fill_node_cache, MaintDaemon, WorkloadSampler};
@@ -110,7 +110,7 @@ fn main() {
     );
 
     let World { index, file, .. } = world;
-    let index: Arc<C2lshHolder> = Arc::new(C2lshHolder(index));
+    let index = Arc::new(index);
     let file = Arc::new(file);
     let registry = MetricsRegistry::global();
 
@@ -308,7 +308,7 @@ fn main() {
 #[allow(clippy::too_many_arguments)]
 fn scrub_section(
     dataset: &Arc<hc_core::dataset::Dataset>,
-    index: &Arc<C2lshHolder>,
+    index: &Arc<C2lsh>,
     file: &Arc<hc_storage::point_file::PointFile>,
     sampler: &Arc<WorkloadSampler>,
     daemon: &Arc<MaintDaemon>,
@@ -499,18 +499,4 @@ fn node_warm_fill_section(
     registry
         .gauge("drift.node.warm_filled_leaves")
         .set(filled as f64);
-}
-
-/// Newtype so the `C2lsh` index (built by value in `World`) can be shared
-/// as an `Arc<dyn CandidateIndex>`.
-struct C2lshHolder(hc_index::lsh::C2lsh);
-
-impl CandidateIndex for C2lshHolder {
-    fn candidates(&self, q: &[f32], k: usize) -> Vec<PointId> {
-        self.0.candidates(q, k)
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
 }

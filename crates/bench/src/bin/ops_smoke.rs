@@ -33,7 +33,7 @@ fn main() {
     let slo = Arc::new(SloMonitor::new(SloConfig::default(), &registry));
     let server = QueryServer::start(
         SharedParts::new(
-            Arc::new(Holder(index)) as Arc<dyn CandidateIndex + Send + Sync>,
+            Arc::new(index) as Arc<dyn CandidateIndex + Send + Sync>,
             Arc::new(file) as Arc<dyn hc_storage::PageStore>,
         ),
         Arc::new(ShardedCompactCache::lru(scheme, cache_bytes, SHARDS)),
@@ -70,17 +70,4 @@ fn main() {
     admin.shutdown();
     server.shutdown();
     println!("ops smoke: all admin routes answered with 200 and non-empty bodies");
-}
-
-/// Newtype so the by-value `C2lsh` index can be shared as a trait object.
-struct Holder(hc_index::lsh::C2lsh);
-
-impl CandidateIndex for Holder {
-    fn candidates(&self, q: &[f32], k: usize) -> Vec<hc_core::dataset::PointId> {
-        self.0.candidates(q, k)
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
 }

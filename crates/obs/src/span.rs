@@ -19,6 +19,7 @@
 use std::time::Instant;
 
 use crate::metrics::Histogram;
+use crate::trace::duration_ns;
 
 /// Times a scope and records nanoseconds into a histogram on drop.
 #[derive(Debug)]
@@ -41,8 +42,7 @@ impl SpanTimer {
 
     /// Elapsed nanoseconds so far (0 when disabled).
     pub fn elapsed_ns(&self) -> u64 {
-        self.start
-            .map_or(0, |s| s.elapsed().as_nanos().min(u64::MAX as u128) as u64)
+        self.start.map_or(0, |s| duration_ns(s.elapsed()))
     }
 }
 
@@ -50,8 +50,7 @@ impl Drop for SpanTimer {
     #[inline]
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            self.sink
-                .record(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+            self.sink.record(duration_ns(start.elapsed()));
         }
     }
 }

@@ -16,6 +16,7 @@
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// Default ring capacity (records, ~150 B each).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
@@ -24,6 +25,17 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
 /// both the preallocation *and* the stored capacity to this bound, so the
 /// ring can never grow past it no matter what a caller asks for.
 pub const MAX_TRACE_CAPACITY: usize = 1 << 16;
+
+/// Narrow a per-query count into one of [`RequestTrace`]'s `u32` slots,
+/// saturating rather than wrapping.
+pub fn saturate_u32<T: TryInto<u32>>(n: T) -> u32 {
+    n.try_into().unwrap_or(u32::MAX)
+}
+
+/// A phase duration as (saturating) nanoseconds, for the `*_ns` slots.
+pub fn duration_ns(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
 
 /// Terminal state of a traced request — the serving layer's
 /// `QueryOutcome` plus `QueueFull` (a request shed at the admission door
@@ -67,11 +79,13 @@ pub struct RequestTrace {
     /// Monotone per-process sequence number (assigned by the server, or by
     /// the engine when running standalone).
     pub seq: u64,
-    // --- engine phases (Algorithm 1, or the tree pipeline mapped onto the
-    //     same slots: bounds→gen, traverse→reduce, deferred→refine) ---
-    /// `|C(q)|` — candidates from the index (tree: leaves considered).
+    // --- engine phases, in Algorithm 1's terms. Each engine maps its own
+    //     per-query stats onto these slots in its `trace()` method
+    //     (`QueryStats`, `TreeQueryStats`, `IngestAnswer`); what a slot
+    //     means for the tree and ingest engines is documented there ---
+    /// `|C(q)|` — candidates from the index.
     pub candidates: u32,
-    /// Cache hits among candidates (tree: exact + compact node hits).
+    /// Cache hits among candidates.
     pub cache_hits: u32,
     /// Candidates pruned early (`lb > ub_k`).
     pub pruned: u32,

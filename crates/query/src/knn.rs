@@ -20,7 +20,8 @@ use hc_cache::point::{CacheLookup, PointCache};
 use hc_core::dataset::PointId;
 use hc_core::distance::kth_smallest;
 use hc_index::traits::CandidateIndex;
-use hc_obs::MetricsRegistry;
+use hc_obs::trace::{duration_ns, saturate_u32};
+use hc_obs::{MetricsRegistry, RequestTrace};
 use hc_storage::clock::{Clock, RealClock};
 use hc_storage::io_stats::IoModel;
 use hc_storage::refine::{refine, BestK, Candidate, Fetcher, RefineSink};
@@ -110,6 +111,31 @@ impl QueryStats {
     /// irrelevant.
     pub fn is_degraded(&self) -> bool {
         !self.missing.is_empty()
+    }
+
+    /// The engine-phase slots of a [`RequestTrace`]. The slots are named
+    /// after Algorithm 1, so the flat engine fills them one to one;
+    /// `missing` is the count of [`QueryStats::missing`]. Whoever records
+    /// the trace — [`QueryObs::observe`] standalone, the serving layer per
+    /// request — layers seq, lifecycle fields and the outcome on top.
+    pub fn trace(&self) -> RequestTrace {
+        RequestTrace {
+            candidates: saturate_u32(self.candidates),
+            cache_hits: saturate_u32(self.cache_hits),
+            pruned: saturate_u32(self.pruned),
+            true_results: saturate_u32(self.true_results),
+            c_refine: saturate_u32(self.c_refine),
+            fetched: saturate_u32(self.fetched),
+            io_pages: saturate_u32(self.io_pages),
+            pages_retried: saturate_u32(self.pages_retried),
+            fault_excluded: saturate_u32(self.fault_excluded),
+            missing: saturate_u32(self.missing.len()),
+            gen_ns: duration_ns(self.gen_cpu),
+            reduce_ns: duration_ns(self.reduce_cpu),
+            refine_ns: duration_ns(self.refine_cpu),
+            modeled_refine_secs: self.modeled_refine_secs,
+            ..RequestTrace::default()
+        }
     }
 }
 

@@ -26,6 +26,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hc_core::cost_model::TauEstimate;
+use hc_obs::trace::duration_ns;
 use hc_obs::{Counter, Gauge, Histogram, MetricsRegistry, RequestTrace, TraceOutcome};
 
 use crate::knn::QueryStats;
@@ -116,14 +117,10 @@ impl QueryObs {
             return;
         }
         self.queries.inc();
-        let gen_ns = stats.gen_cpu.as_nanos().min(u64::MAX as u128) as u64;
-        let reduce_ns = stats.reduce_cpu.as_nanos().min(u64::MAX as u128) as u64;
-        let refine_ns = stats.refine_cpu.as_nanos().min(u64::MAX as u128) as u64;
-        self.gen_ns.record(gen_ns);
-        self.reduce_ns.record(reduce_ns);
-        self.bounds_ns
-            .record(stats.bounds_cpu.as_nanos().min(u64::MAX as u128) as u64);
-        self.refine_ns.record(refine_ns);
+        self.gen_ns.record(duration_ns(stats.gen_cpu));
+        self.reduce_ns.record(duration_ns(stats.reduce_cpu));
+        self.bounds_ns.record(duration_ns(stats.bounds_cpu));
+        self.refine_ns.record(duration_ns(stats.refine_cpu));
         self.rho_hit_ppm.record_ratio(stats.hit_ratio());
         self.rho_prune_ppm.record_ratio(stats.prune_ratio());
         self.candidates.record(stats.candidates as u64);
@@ -137,36 +134,8 @@ impl QueryObs {
                 } else {
                     TraceOutcome::Degraded
                 },
-                ..Self::engine_trace(stats, gen_ns, reduce_ns, refine_ns)
+                ..stats.trace()
             });
-        }
-    }
-
-    /// The engine-phase portion of a [`RequestTrace`], shared between the
-    /// standalone path above and the serving layer (which fills in the
-    /// lifecycle fields on top).
-    pub fn engine_trace(
-        stats: &QueryStats,
-        gen_ns: u64,
-        reduce_ns: u64,
-        refine_ns: u64,
-    ) -> RequestTrace {
-        RequestTrace {
-            candidates: stats.candidates.min(u32::MAX as usize) as u32,
-            cache_hits: stats.cache_hits.min(u32::MAX as usize) as u32,
-            pruned: stats.pruned.min(u32::MAX as usize) as u32,
-            true_results: stats.true_results.min(u32::MAX as usize) as u32,
-            c_refine: stats.c_refine.min(u32::MAX as usize) as u32,
-            fetched: stats.fetched.min(u32::MAX as usize) as u32,
-            io_pages: stats.io_pages.min(u32::MAX as u64) as u32,
-            pages_retried: stats.pages_retried.min(u32::MAX as u64) as u32,
-            fault_excluded: stats.fault_excluded.min(u32::MAX as usize) as u32,
-            missing: stats.missing.len().min(u32::MAX as usize) as u32,
-            gen_ns,
-            reduce_ns,
-            refine_ns,
-            modeled_refine_secs: stats.modeled_refine_secs,
-            ..RequestTrace::default()
         }
     }
 }
@@ -238,12 +207,9 @@ impl TreeQueryObs {
             return;
         }
         self.queries.inc();
-        self.bounds_ns
-            .record(stats.bounds_cpu.as_nanos().min(u64::MAX as u128) as u64);
-        self.traverse_ns
-            .record(stats.traverse_cpu.as_nanos().min(u64::MAX as u128) as u64);
-        self.deferred_ns
-            .record(stats.deferred_cpu.as_nanos().min(u64::MAX as u128) as u64);
+        self.bounds_ns.record(duration_ns(stats.bounds_cpu));
+        self.traverse_ns.record(duration_ns(stats.traverse_cpu));
+        self.deferred_ns.record(duration_ns(stats.deferred_cpu));
         self.leaf_fetches.record(stats.leaf_fetches);
         self.leaves_visited.record(stats.leaves_visited as u64);
         self.deferred.record(stats.deferred as u64);
@@ -302,6 +268,7 @@ impl DriftMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hc_core::dataset::PointId;
     use std::time::Duration;
 
     fn stats() -> QueryStats {
@@ -351,6 +318,85 @@ mod tests {
         assert!((snap.traces[0].rho_hit() - 0.8).abs() < 1e-9);
     }
 
+    /// The stats → trace slot mappings, pinned where they live. Every input
+    /// is a distinct value, so a swapped pair of slots cannot pass.
+    #[test]
+    fn trace_maps_flat_and_tree_stats_onto_the_engine_slots() {
+        let mut flat = stats();
+        flat.missing = vec![PointId(3), PointId(9)];
+        flat.pages_retried = 4;
+        flat.fault_excluded = 5;
+        assert_eq!(
+            flat.trace(),
+            RequestTrace {
+                candidates: 100,
+                cache_hits: 80,
+                pruned: 40,
+                true_results: 20,
+                c_refine: 30,
+                fetched: 15,
+                io_pages: 12,
+                pages_retried: 4,
+                fault_excluded: 5,
+                missing: 2,
+                gen_ns: 3_000,
+                reduce_ns: 50_000,
+                refine_ns: 7_000,
+                modeled_refine_secs: 0.06,
+                ..RequestTrace::default()
+            }
+        );
+
+        let tree = TreeQueryStats {
+            leaves_total: 200,
+            leaf_fetches: 11,
+            exact_hits: 6,
+            compact_hits: 70,
+            deferred: 33,
+            leaves_visited: 150,
+            fetched_leaves: vec![1, 2],
+            io_pages: 13,
+            pages_retried: 2,
+            missing: vec![PointId(8)],
+            fault_excluded: 1,
+            lookahead_issued: 21,
+            lookahead_wasted: 22,
+            bounds_cpu: Duration::from_micros(5),
+            traverse_cpu: Duration::from_micros(60),
+            deferred_cpu: Duration::from_micros(9),
+            cpu: Duration::from_micros(80),
+            modeled_io_secs: 0.065,
+        };
+        assert_eq!(
+            tree.trace(),
+            RequestTrace {
+                candidates: 200, // leaves considered
+                cache_hits: 76,  // exact + compact hits
+                pruned: 50,      // leaves_total − leaves_visited
+                true_results: 6, // exact hits
+                c_refine: 33,    // deferred
+                fetched: 11,     // leaf fetches
+                io_pages: 13,
+                pages_retried: 2,
+                fault_excluded: 1,
+                missing: 1,
+                gen_ns: 5_000,     // bounds
+                reduce_ns: 60_000, // traverse
+                refine_ns: 9_000,  // deferred pass
+                modeled_refine_secs: 0.065,
+                ..RequestTrace::default()
+            }
+        );
+        // Counts too large for a slot saturate instead of wrapping.
+        let huge = TreeQueryStats {
+            leaf_fetches: u64::MAX,
+            io_pages: 1 << 40,
+            ..TreeQueryStats::default()
+        };
+        assert_eq!(huge.trace().fetched, u32::MAX);
+        assert_eq!(huge.trace().io_pages, u32::MAX);
+    }
+
     #[test]
     fn without_traces_keeps_histograms_but_skips_the_ring() {
         let registry = MetricsRegistry::new();
@@ -366,7 +412,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let obs = QueryObs::bind(&registry);
         let mut s = stats();
-        s.missing = vec![hc_core::dataset::PointId(3)];
+        s.missing = vec![PointId(3)];
         s.pages_retried = 2;
         s.fault_excluded = 1;
         obs.observe(&s);

@@ -43,7 +43,8 @@ use hc_cache::node::{NodeCache, NodeLookup};
 use hc_core::dataset::{Dataset, PointId};
 use hc_core::distance::euclidean;
 use hc_index::traits::LeafedIndex;
-use hc_obs::MetricsRegistry;
+use hc_obs::trace::{duration_ns, saturate_u32};
+use hc_obs::{MetricsRegistry, RequestTrace};
 use hc_storage::clock::{Clock, RealClock};
 use hc_storage::error::StorageError;
 use hc_storage::io_stats::IoModel;
@@ -104,6 +105,43 @@ impl TreeQueryStats {
     /// Whether the result is provably the exact top-k despite any faults.
     pub fn is_exact(&self) -> bool {
         self.missing.is_empty()
+    }
+
+    /// The engine-phase slots of a [`RequestTrace`]. The slots are named
+    /// after Algorithm 1; the tree pipeline (§3.6.1) is the same idea at
+    /// leaf granularity and fills them like this:
+    ///
+    /// | slot | tree meaning |
+    /// |---|---|
+    /// | `candidates` | leaves considered (`leaves_total`) |
+    /// | `cache_hits` | exact + compact node-cache hits |
+    /// | `pruned` | leaves skipped by bound ordering (`leaves_total − leaves_visited`) |
+    /// | `true_results` | leaves answered exactly (`exact_hits`) |
+    /// | `c_refine` | points deferred into the multi-step pass |
+    /// | `fetched` | leaf fetches |
+    /// | `gen_ns` / `reduce_ns` / `refine_ns` | bounds / traverse / deferred CPU |
+    /// | `modeled_refine_secs` | `modeled_io_secs` |
+    ///
+    /// `io_pages`, `pages_retried`, `fault_excluded` and `missing` (a
+    /// count) mean what they mean for the flat engine.
+    pub fn trace(&self) -> RequestTrace {
+        RequestTrace {
+            candidates: saturate_u32(self.leaves_total),
+            cache_hits: saturate_u32(self.exact_hits + self.compact_hits),
+            pruned: saturate_u32(self.leaves_total.saturating_sub(self.leaves_visited)),
+            true_results: saturate_u32(self.exact_hits),
+            c_refine: saturate_u32(self.deferred),
+            fetched: saturate_u32(self.leaf_fetches),
+            io_pages: saturate_u32(self.io_pages),
+            pages_retried: saturate_u32(self.pages_retried),
+            fault_excluded: saturate_u32(self.fault_excluded),
+            missing: saturate_u32(self.missing.len()),
+            gen_ns: duration_ns(self.bounds_cpu),
+            reduce_ns: duration_ns(self.traverse_cpu),
+            refine_ns: duration_ns(self.deferred_cpu),
+            modeled_refine_secs: self.modeled_io_secs,
+            ..RequestTrace::default()
+        }
     }
 }
 

@@ -1,19 +1,21 @@
-//! The sharded concurrent compact cache.
+//! The sharded shell and the sharded concurrent compact cache.
 //!
 //! One byte budget `CS`, N = 2^b shards, each shard an independent
-//! [`CompactPointCache`] (bit-packed slab + LRU list) behind its own
-//! `Mutex`. A `PointId` maps to a shard by multiplicative (Fibonacci)
-//! hashing, so consecutive ids — which the paper's permuted point file
-//! scatters anyway — spread evenly and two workers only contend when they
-//! probe the *same* shard at the same instant.
+//! single-threaded cache behind its own `Mutex`: that shell is [`Sharded`],
+//! written once for the point cache here and the node cache in
+//! [`crate::node_cache`]. A key maps to a shard by multiplicative
+//! (Fibonacci) hashing, so consecutive ids — which the paper's permuted
+//! point file scatters anyway — spread evenly and two workers only contend
+//! when they probe the *same* shard at the same instant.
 //!
-//! The paper's compact representation is what makes this split essentially
-//! free: at τ = 8 bits per dimension an item is 4× smaller than the raw
-//! vector, so even `CS/N` bytes per shard holds thousands of items and the
-//! per-shard LRU behaves like the global one (the workload's hot set is
-//! spread uniformly over shards by the hash).
+//! [`ShardedCompactCache`] shards a [`CompactPointCache`] (bit-packed slab
+//! and LRU list) by `PointId`. The paper's compact representation is what
+//! makes this split essentially free: at τ = 8 bits per dimension an item
+//! is 4× smaller than the raw vector, so even `CS/N` bytes per shard holds
+//! thousands of items and the per-shard LRU behaves like the global one
+//! (the workload's hot set is spread uniformly over shards by the hash).
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use hc_cache::concurrent::ConcurrentPointCache;
 use hc_cache::point::{CacheLookup, CompactPointCache, PointCache};
@@ -23,20 +25,34 @@ use hc_core::scan::Simd;
 use hc_core::scheme::ApproxScheme;
 use hc_obs::MetricsRegistry;
 
-/// N `Mutex<CompactPointCache>` shards under one byte budget.
-pub struct ShardedCompactCache {
-    shards: Vec<Mutex<CompactPointCache>>,
-    /// `32 - log2(num_shards)`; shard = `(id * φ32) >> shard_shift`.
+/// What [`Sharded`] asks of one shard. The module is private, so the two
+/// shard types of this crate are the only implementors there can be.
+mod shard {
+    pub trait Shard {
+        fn len(&self) -> usize;
+        /// `(used_bytes, capacity_bytes)`.
+        fn occupancy(&self) -> (usize, usize);
+        fn label(&self) -> String;
+        fn bind_obs_as(&mut self, registry: &hc_obs::MetricsRegistry, label: &str);
+    }
+}
+pub(crate) use shard::Shard;
+
+/// N `Mutex<C>` shards under one byte budget: the constructor check, the
+/// shard hash, the per-shard accounting and the per-shard `cache.*` series.
+/// What a lookup or an admission does under the lock stays with each cache.
+pub struct Sharded<C> {
+    shards: Vec<Mutex<C>>,
+    /// `32 - log2(num_shards)`; shard = `(key * φ32) >> shard_shift`.
     shard_shift: u32,
-    tau: u32,
-    /// Kept so batch probes can take the per-query tables *once* and share
-    /// them across every shard instead of asking under each lock.
-    scheme: Arc<dyn ApproxScheme>,
+    /// Kept so probes can take per-query tables, and bound what they
+    /// probed, outside the shard locks.
+    pub(crate) scheme: Arc<dyn ApproxScheme>,
 }
 
 /// Multiplicative (Fibonacci) hash of a 32-bit key onto `2^(32 - shift)`
-/// shards — the one shard hash of the point and node caches.
-pub(crate) fn fib_shard(key: u32, shift: u32) -> usize {
+/// shards.
+fn fib_shard(key: u32, shift: u32) -> usize {
     /// Knuth's multiplicative constant: ⌊2^32 / φ⌋.
     const FIB_MULT: u32 = 0x9E37_79B9;
     if shift == 32 {
@@ -45,32 +61,43 @@ pub(crate) fn fib_shard(key: u32, shift: u32) -> usize {
     (key.wrapping_mul(FIB_MULT) >> shift) as usize
 }
 
-impl ShardedCompactCache {
-    /// Dynamic LRU cache of `capacity_bytes` split evenly over `num_shards`
-    /// (a power of two) shards.
+impl<C: Shard> Sharded<C> {
+    /// `capacity_bytes` split evenly over `num_shards` shards, each built by
+    /// `shard(scheme, bytes)`.
     ///
     /// # Panics
     /// Panics if `num_shards` is zero or not a power of two.
-    pub fn lru(scheme: Arc<dyn ApproxScheme>, capacity_bytes: usize, num_shards: usize) -> Self {
+    pub(crate) fn build(
+        scheme: Arc<dyn ApproxScheme>,
+        capacity_bytes: usize,
+        num_shards: usize,
+        shard: fn(Arc<dyn ApproxScheme>, usize) -> C,
+    ) -> Self {
         assert!(
             num_shards.is_power_of_two(),
             "num_shards must be a power of two, got {num_shards}"
         );
         let per_shard = capacity_bytes / num_shards;
-        let tau = scheme.tau();
-        let shards = (0..num_shards)
-            .map(|_| Mutex::new(CompactPointCache::lru(Arc::clone(&scheme), per_shard)))
-            .collect();
         Self {
-            shards,
+            shards: (0..num_shards)
+                .map(|_| Mutex::new(shard(Arc::clone(&scheme), per_shard)))
+                .collect(),
             shard_shift: 32 - num_shards.trailing_zeros(),
-            tau,
             scheme,
         }
     }
 
-    fn shard_of(&self, id: PointId) -> usize {
-        fib_shard(id.0, self.shard_shift)
+    pub(crate) fn shard_of(&self, key: u32) -> usize {
+        fib_shard(key, self.shard_shift)
+    }
+
+    pub(crate) fn lock(&self, shard: usize) -> MutexGuard<'_, C> {
+        self.shards[shard].lock().expect("shard poisoned")
+    }
+
+    /// Lock the shard `key` hashes to.
+    pub(crate) fn shard(&self, key: u32) -> MutexGuard<'_, C> {
+        self.lock(self.shard_of(key))
     }
 
     pub fn num_shards(&self) -> usize {
@@ -79,14 +106,66 @@ impl ShardedCompactCache {
 
     /// Total resident items across shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").len())
-            .sum()
+        (0..self.shards.len()).map(|s| self.lock(s).len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Per-shard `(used_bytes, capacity_bytes)` — the stress tests assert
+    /// the budget invariant shard by shard.
+    pub fn shard_occupancy(&self) -> Vec<(usize, usize)> {
+        (0..self.shards.len())
+            .map(|s| self.lock(s).occupancy())
+            .collect()
+    }
+
+    /// `(used_bytes, capacity_bytes)` over all shards.
+    pub(crate) fn occupancy(&self) -> (usize, usize) {
+        self.shard_occupancy()
+            .iter()
+            .fold((0, 0), |sum, s| (sum.0 + s.0, sum.1 + s.1))
+    }
+
+    /// Bind each shard under its own label (`"COMPACT(τ=8)/LRU/shard3"`),
+    /// so hot-shard skew is visible; aggregate with
+    /// `RegistrySnapshot::counter_sum("cache.hits")`.
+    pub(crate) fn bind_shards(&self, registry: &MetricsRegistry) {
+        for s in 0..self.shards.len() {
+            let mut shard = self.lock(s);
+            let label = format!("{}/shard{s}", shard.label());
+            shard.bind_obs_as(registry, &label);
+        }
+    }
+}
+
+impl Shard for CompactPointCache {
+    fn len(&self) -> usize {
+        self.len()
+    }
+    fn occupancy(&self) -> (usize, usize) {
+        (self.used_bytes(), self.capacity_bytes())
+    }
+    fn label(&self) -> String {
+        PointCache::label(self)
+    }
+    fn bind_obs_as(&mut self, registry: &MetricsRegistry, label: &str) {
+        self.bind_obs_as(registry, label)
+    }
+}
+
+/// N `Mutex<CompactPointCache>` shards under one byte budget.
+pub type ShardedCompactCache = Sharded<CompactPointCache>;
+
+impl ShardedCompactCache {
+    /// Dynamic LRU cache of `capacity_bytes` split evenly over `num_shards`
+    /// (a power of two) shards.
+    ///
+    /// # Panics
+    /// Panics if `num_shards` is zero or not a power of two.
+    pub fn lru(scheme: Arc<dyn ApproxScheme>, capacity_bytes: usize, num_shards: usize) -> Self {
+        Self::build(scheme, capacity_bytes, num_shards, CompactPointCache::lru)
     }
 
     /// Offline HFF-style warm fill (§4): admit points in descending
@@ -95,15 +174,13 @@ impl ShardedCompactCache {
     /// full LRU shard would evict them). Already-resident points are
     /// skipped. Returns how many points were newly admitted.
     pub fn warm_fill(&self, dataset: &hc_core::dataset::Dataset, ranking: &[PointId]) -> usize {
+        let need = self.scheme.bytes_per_point();
         let mut filled = 0;
         for &id in ranking {
-            let mut shard = self.shards[self.shard_of(id)]
-                .lock()
-                .expect("shard poisoned");
+            let mut shard = self.shard(id.0);
             if shard.contains(id) {
                 continue;
             }
-            let need = shard.scheme().bytes_per_point();
             if shard.used_bytes() + need > shard.capacity_bytes() {
                 continue; // shard full of hotter points — keep them
             }
@@ -112,26 +189,11 @@ impl ShardedCompactCache {
         }
         filled
     }
-
-    /// Per-shard `(used_bytes, capacity_bytes)` — the stress tests assert
-    /// the budget invariant shard by shard.
-    pub fn shard_occupancy(&self) -> Vec<(usize, usize)> {
-        self.shards
-            .iter()
-            .map(|s| {
-                let shard = s.lock().expect("shard poisoned");
-                (shard.used_bytes(), shard.capacity_bytes())
-            })
-            .collect()
-    }
 }
 
 impl ConcurrentPointCache for ShardedCompactCache {
     fn lookup(&self, q: &[f32], id: PointId) -> CacheLookup {
-        self.shards[self.shard_of(id)]
-            .lock()
-            .expect("shard poisoned")
-            .lookup(q, id)
+        self.shard(id.0).lookup(q, id)
     }
 
     /// Batch probe: one lock acquisition per *shard touched* (not per
@@ -141,9 +203,9 @@ impl ConcurrentPointCache for ShardedCompactCache {
         out.clear();
         out.resize(ids.len(), CacheLookup::Miss);
         // Partition candidate indices by shard, preserving output positions.
-        let mut groups: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
+        let mut groups: Vec<Vec<u32>> = vec![Vec::new(); self.num_shards()];
         for (i, &id) in ids.iter().enumerate() {
-            groups[self.shard_of(id)].push(i as u32);
+            groups[self.shard_of(id.0)].push(i as u32);
         }
         // The tables come from the thread's memo (`hc_cache::tables`): a
         // refill of one long-lived buffer per worker, shared with the node
@@ -157,9 +219,7 @@ impl ConcurrentPointCache for ShardedCompactCache {
                 }
                 shard_ids.clear();
                 shard_ids.extend(group.iter().map(|&i| ids[i as usize]));
-                self.shards[s]
-                    .lock()
-                    .expect("shard poisoned")
+                self.lock(s)
                     .lookup_batch_with_tables(q, tables, &shard_ids, &mut shard_out);
                 for (&i, looked) in group.iter().zip(shard_out.drain(..)) {
                     out[i as usize] = looked;
@@ -169,46 +229,28 @@ impl ConcurrentPointCache for ShardedCompactCache {
     }
 
     fn admit(&self, id: PointId, point: &[f32]) {
-        self.shards[self.shard_of(id)]
-            .lock()
-            .expect("shard poisoned")
-            .admit(id, point)
+        self.shard(id.0).admit(id, point)
     }
 
     fn contains(&self, id: PointId) -> bool {
-        self.shards[self.shard_of(id)]
-            .lock()
-            .expect("shard poisoned")
-            .contains(id)
+        self.shard(id.0).contains(id)
     }
 
     fn used_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").used_bytes())
-            .sum()
+        self.occupancy().0
     }
 
     fn capacity_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").capacity_bytes())
-            .sum()
+        self.occupancy().1
     }
 
     fn label(&self) -> String {
-        format!("SHARDED-COMPACT(τ={})/LRU×{}", self.tau, self.shards.len())
+        let tau = self.scheme.tau();
+        format!("SHARDED-COMPACT(τ={tau})/LRU×{}", self.num_shards())
     }
 
-    /// Bind each shard under its own label
-    /// (`"COMPACT(τ=8)/LRU/shard3"`), so hot-shard skew is visible;
-    /// aggregate with `RegistrySnapshot::counter_sum("cache.hits")`.
     fn bind_obs(&self, registry: &MetricsRegistry) {
-        for (i, shard) in self.shards.iter().enumerate() {
-            let mut shard = shard.lock().expect("shard poisoned");
-            let label = format!("{}/shard{i}", shard.label());
-            shard.bind_obs_as(registry, &label);
-        }
+        self.bind_shards(registry)
     }
 }
 

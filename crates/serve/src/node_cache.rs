@@ -1,9 +1,10 @@
 //! The sharded concurrent node cache (leaf granularity).
 //!
-//! The node-granularity sibling of [`crate::cache::ShardedCompactCache`]:
-//! one byte budget split over N = 2^b shards, each an independent
-//! [`LruNodeCache`] (bit-packed leaves + LRU) behind its own `Mutex`. A leaf
-//! id maps to a shard by multiplicative (Fibonacci) hashing, so tree-search
+//! The node-granularity sibling of [`crate::cache::ShardedCompactCache`],
+//! over the same [`Sharded`] shell: one byte budget split over N = 2^b
+//! shards, each an independent [`LruNodeCache`] (bit-packed leaves + LRU)
+//! behind its own `Mutex`. A leaf id maps to a shard by the shell's
+//! multiplicative (Fibonacci) hash, so tree-search
 //! workers only contend when they probe the *same* shard at the same
 //! instant — which is exactly where concurrency pressure concentrates in
 //! cache-conscious index traversal.
@@ -17,22 +18,32 @@
 //! The paper's compact representation (§3.6.1) keeps the split cheap: at
 //! τ = 8 a cached leaf is ~4× smaller than its raw points.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use hc_cache::concurrent::ConcurrentNodeCache;
 use hc_cache::node::{leaf_bounds, LruNodeCache, NodeCache, NodeLookup};
 use hc_core::scheme::ApproxScheme;
 use hc_obs::MetricsRegistry;
 
-use crate::cache::fib_shard;
+use crate::cache::{Shard, Sharded};
 
-/// N `Mutex<LruNodeCache>` shards under one byte budget.
-pub struct ShardedNodeCache {
-    shards: Vec<Mutex<LruNodeCache>>,
-    /// `32 - log2(num_shards)`; shard = `(leaf * φ32) >> shard_shift`.
-    shard_shift: u32,
-    scheme: Arc<dyn ApproxScheme>,
+impl Shard for LruNodeCache {
+    fn len(&self) -> usize {
+        self.len()
+    }
+    fn occupancy(&self) -> (usize, usize) {
+        (self.used_bytes(), self.capacity_bytes())
+    }
+    fn label(&self) -> String {
+        NodeCache::label(self)
+    }
+    fn bind_obs_as(&mut self, registry: &MetricsRegistry, label: &str) {
+        self.bind_obs_as(registry, label)
+    }
 }
+
+/// N `Mutex<LruNodeCache>` shards under one byte budget, keyed by leaf id.
+pub type ShardedNodeCache = Sharded<LruNodeCache>;
 
 impl ShardedNodeCache {
     /// Dynamic LRU node cache of `capacity_bytes` split evenly over
@@ -41,19 +52,7 @@ impl ShardedNodeCache {
     /// # Panics
     /// Panics if `num_shards` is zero or not a power of two.
     pub fn lru(scheme: Arc<dyn ApproxScheme>, capacity_bytes: usize, num_shards: usize) -> Self {
-        assert!(
-            num_shards.is_power_of_two(),
-            "num_shards must be a power of two, got {num_shards}"
-        );
-        let per_shard = capacity_bytes / num_shards;
-        let shards = (0..num_shards)
-            .map(|_| Mutex::new(LruNodeCache::new(Arc::clone(&scheme), per_shard)))
-            .collect();
-        Self {
-            shards,
-            shard_shift: 32 - num_shards.trailing_zeros(),
-            scheme,
-        }
+        Self::build(scheme, capacity_bytes, num_shards, LruNodeCache::new)
     }
 
     /// Offline HFF-style warm fill (§3.6.1): admit leaves in descending
@@ -70,9 +69,7 @@ impl ShardedNodeCache {
     ) -> usize {
         let mut filled = 0;
         for &leaf in ranked_leaves {
-            let shard = self.shards[self.shard_of(leaf)]
-                .lock()
-                .expect("shard poisoned");
+            let shard = self.shard(leaf);
             if shard.contains(leaf) {
                 continue;
             }
@@ -86,38 +83,6 @@ impl ShardedNodeCache {
         }
         filled
     }
-
-    fn shard_of(&self, leaf: u32) -> usize {
-        fib_shard(leaf, self.shard_shift)
-    }
-
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total resident leaves across shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").len())
-            .sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Per-shard `(used_bytes, capacity_bytes)` — the stress tests assert
-    /// the budget invariant shard by shard.
-    pub fn shard_occupancy(&self) -> Vec<(usize, usize)> {
-        self.shards
-            .iter()
-            .map(|s| {
-                let shard = s.lock().expect("shard poisoned");
-                (shard.used_bytes(), shard.capacity_bytes())
-            })
-            .collect()
-    }
 }
 
 impl ConcurrentNodeCache for ShardedNodeCache {
@@ -127,10 +92,7 @@ impl ConcurrentNodeCache for ShardedNodeCache {
     /// eviction of this leaf in the meantime only drops the map's reference
     /// to the words this call still holds.
     fn lookup(&self, q: &[f32], leaf: u32) -> NodeLookup {
-        let probed = self.shards[self.shard_of(leaf)]
-            .lock()
-            .expect("shard poisoned")
-            .probe(leaf);
+        let probed = self.shard(leaf).probe(leaf);
         match probed {
             None => NodeLookup::Miss,
             Some(words) => NodeLookup::Bounds(leaf_bounds(&self.scheme, q, &words)),
@@ -138,50 +100,28 @@ impl ConcurrentNodeCache for ShardedNodeCache {
     }
 
     fn admit(&self, leaf: u32, points: &mut dyn ExactSizeIterator<Item = &[f32]>) {
-        self.shards[self.shard_of(leaf)]
-            .lock()
-            .expect("shard poisoned")
-            .admit(leaf, points)
+        self.shard(leaf).admit(leaf, points)
     }
 
     fn contains(&self, leaf: u32) -> bool {
-        self.shards[self.shard_of(leaf)]
-            .lock()
-            .expect("shard poisoned")
-            .contains(leaf)
+        self.shard(leaf).contains(leaf)
     }
 
     fn used_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").used_bytes())
-            .sum()
+        self.occupancy().0
     }
 
     fn capacity_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").capacity_bytes())
-            .sum()
+        self.occupancy().1
     }
 
     fn label(&self) -> String {
-        format!(
-            "SHARDED-NODE(τ={})/LRU×{}",
-            self.scheme.tau(),
-            self.shards.len()
-        )
+        let tau = self.scheme.tau();
+        format!("SHARDED-NODE(τ={tau})/LRU×{}", self.num_shards())
     }
 
-    /// Bind each shard under its own label
-    /// (`"COMPACT-NODE(τ=8)/LRU/shard3"`), so hot-shard skew is visible;
-    /// aggregate with `RegistrySnapshot::counter_sum("cache.hits")`.
     fn bind_obs(&self, registry: &MetricsRegistry) {
-        for (i, shard) in self.shards.iter().enumerate() {
-            let mut shard = shard.lock().expect("shard poisoned");
-            let label = format!("{}/shard{i}", shard.label());
-            shard.bind_obs_as(registry, &label);
-        }
+        self.bind_shards(registry)
     }
 }
 

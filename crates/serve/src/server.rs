@@ -1,19 +1,22 @@
 //! The concurrent query server: worker threads over shared parts.
 //!
-//! Three backends share one serving shell. [`QueryServer::start`] runs the
-//! flat-index path: every worker owns a full [`KnnEngine`] (its own
-//! scratch, its own labeled `query.*` metric series) but all engines share
-//! the same `Arc`'d index, page store, and [`ConcurrentPointCache`] — so a
-//! point admitted by worker 0 serves bound-hits to worker 3.
-//! [`QueryServer::start_tree`] runs the tree path instead: workers own
-//! [`TreeSearchEngine`]s over [`TreeSharedParts`] and a shared
-//! [`ConcurrentNodeCache`] (leaf granularity, §3.6.1), so a leaf fetched by
-//! one worker serves exact or compact hits to the rest.
-//! [`QueryServer::start_ingest`] serves the live-mutable dataset: workers
-//! share one [`IngestEngine`] and every answer is exact over the
-//! (memtable ∪ segments − tombstones) set it observed, even while writers
-//! keep appending (DESIGN.md §13). Requests flow
-//! through a [`BoundedQueue`]; admission control turns overload into
+//! Three backends share one serving shell, and the shell cannot tell them
+//! apart: each `start*` constructor hands [`worker_loop`] a closure that
+//! builds its engine, and the loop only ever sees "given `(q, k)`, return
+//! the ids, the missing ids and the engine-phase slots of a
+//! [`RequestTrace`]". [`QueryServer::start`] runs the flat-index path: every
+//! worker owns a full [`KnnEngine`] (its own scratch, its own labeled
+//! `query.*` metric series) but all engines share the same `Arc`'d index,
+//! page store, and [`ConcurrentPointCache`] — so a point admitted by worker
+//! 0 serves bound-hits to worker 3. [`QueryServer::start_tree`] runs the
+//! tree path instead: workers own [`TreeSearchEngine`]s over
+//! [`TreeSharedParts`] and a shared [`ConcurrentNodeCache`] (leaf
+//! granularity, §3.6.1), so a leaf fetched by one worker serves exact or
+//! compact hits to the rest. [`QueryServer::start_ingest`] serves the
+//! live-mutable dataset: workers share one [`IngestEngine`] and every
+//! answer is exact over the (memtable ∪ segments − tombstones) set it
+//! observed, even while writers keep appending (DESIGN.md §13). Requests
+//! flow through a [`BoundedQueue`]; admission control turns overload into
 //! explicit [`SubmitError::QueueFull`] / [`QueryOutcome::TimedOut`]
 //! outcomes rather than unbounded queueing.
 //!
@@ -30,6 +33,9 @@
 //! [`QueryOutcome::Failed`], and the worker rebuilds its engine and keeps
 //! serving. Every admitted ticket terminates — no outcome is silently
 //! dropped, even through shutdown.
+//!
+//! [`KnnEngine`]: hc_query::KnnEngine
+//! [`TreeSearchEngine`]: hc_query::TreeSearchEngine
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -45,8 +51,7 @@ use hc_ingest::{IngestEngine, IngestStatus};
 use hc_obs::{
     Counter, Gauge, Histogram, MetricsRegistry, RequestTrace, SloMonitor, SloOutcome, TraceOutcome,
 };
-use hc_query::tree_search::TreeSearchEngine;
-use hc_query::{KnnEngine, SharedParts, TreeSharedParts};
+use hc_query::{QueryObs, SharedParts, TreeSharedParts};
 use hc_storage::clock::{Clock, RealClock};
 use hc_storage::io_stats::IoModel;
 use hc_storage::retry::RetryPolicy;
@@ -69,19 +74,23 @@ pub struct ServeConfig {
     /// throughput scale even on a single core: threads overlap their
     /// simulated I/O stalls exactly as real threads overlap real disk waits.
     pub simulate_io_scale: Option<f64>,
-    /// Enable the footnote-6 eager refetch in every worker engine.
-    /// (Point backend only; the tree path has no eager refetch.)
+    /// Enable the footnote-6 eager refetch in every flat worker engine.
+    /// ([`QueryServer::start`] only: the tree path has no eager refetch,
+    /// and [`QueryServer::start_ingest`] builds no engine.)
     pub eager_refetch: bool,
-    /// Refinement look-ahead depth installed in every worker engine
-    /// (DESIGN.md §16): pages of the next `lookahead` lb-ordered candidates
-    /// are submitted with each fetch batch. 0 disables batching; results
-    /// are identical for every depth.
+    /// Refinement look-ahead depth installed in every flat and tree worker
+    /// engine (DESIGN.md §16): pages of the next `lookahead` lb-ordered
+    /// candidates are submitted with each fetch batch. 0 disables batching;
+    /// results are identical for every depth. Not used by
+    /// [`QueryServer::start_ingest`]: segment reads run at look-ahead 0.
     pub lookahead: usize,
-    /// Storage retry policy installed in every worker engine.
+    /// Storage retry policy installed in every flat and tree worker engine.
+    /// Not used by [`QueryServer::start_ingest`]: segment reads retry under
+    /// the engine's own `IngestConfig::max_read_retries`.
     pub retry: RetryPolicy,
     /// Clock the retry backoff sleeps on. [`RealClock`] in production; tests
     /// inject a [`hc_storage::clock::SimulatedClock`] so fault-heavy sweeps
-    /// finish without real stalls.
+    /// finish without real stalls. Flat and tree engines only, like `retry`.
     pub clock: Arc<dyn Clock>,
     /// When set, every successfully evaluated query (exact or degraded) is
     /// offered to this sampler — the feed for a maintenance daemon's
@@ -281,172 +290,36 @@ impl ServeObs {
     }
 }
 
-/// Which engine family the workers run. Both share the serving shell
-/// (queue, tickets, panic isolation, shutdown); they differ only in what a
-/// worker builds and what its stats mean.
-#[derive(Clone)]
-enum Backend {
-    /// Flat candidate refinement: [`KnnEngine`] over a shared point cache.
-    Point {
-        parts: SharedParts,
-        cache: Arc<dyn ConcurrentPointCache>,
-    },
-    /// Tree-index search: [`TreeSearchEngine`] over a shared node cache.
-    Tree {
-        parts: TreeSharedParts,
-        cache: Arc<dyn ConcurrentNodeCache>,
-    },
-    /// Live-mutable dataset: exact mid-ingest queries against an
-    /// [`IngestEngine`] (memtable ∪ sealed segments − tombstones). The
-    /// engine is internally synchronized, so workers share one `Arc`
-    /// rather than building per-worker state.
-    Ingest { engine: Arc<IngestEngine> },
+/// What a worker's engine hands the shell for one evaluated query: the
+/// result ids, the candidate ids lost to unreadable pages, and the
+/// engine-phase slots of the request's trace — filled by the engine's own
+/// stats (`QueryStats::trace`, `TreeQueryStats::trace`,
+/// `IngestAnswer::trace`, where the slot meanings are documented). The
+/// shell reads everything else it reports off that trace.
+type Answer = (Vec<PointId>, Vec<PointId>, RequestTrace);
+
+/// Reads the serving generation: the shared cache's (bumps on hot swap) or,
+/// for the ingest backend, the manifest's (bumps on seal and compaction).
+type Generation = Arc<dyn Fn() -> u64 + Send + Sync>;
+
+/// Everything a worker thread holds except its engine. Each `start*`
+/// constructor receives one on the worker's thread and hands it to
+/// [`worker_loop`] together with a closure that builds that backend's
+/// engine — the only backend-specific code in the server.
+struct Worker {
+    id: usize,
+    queue: Arc<BoundedQueue<QueryRequest>>,
+    in_flight: Arc<AtomicUsize>,
+    obs: Arc<ServeObs>,
+    registry: MetricsRegistry,
+    config: ServeConfig,
+    generation: Generation,
 }
 
-/// What a worker extracts from either engine's per-query stats to build the
-/// [`QueryResponse`] and the engine-phase half of the request trace. Field
-/// meanings per backend:
-///
-/// * Point: Algorithm 1's own terms — `cache_hits` = candidates answered
-///   from the compact cache, `candidates` = `|C(q)|`, phases =
-///   gen/reduce/refine.
-/// * Tree: mapped onto the same slots — `cache_hits` = exact + compact
-///   node-cache hits, `candidates` = leaves considered, `pruned` = leaves
-///   skipped by bound ordering, `c_refine` = deferred leaves, `fetched` =
-///   leaf fetches, phases = bounds/traverse/deferred.
-struct EngineAnswer {
-    ids: Vec<PointId>,
-    io_pages: u64,
-    cache_hits: usize,
-    candidates: usize,
-    missing: Vec<PointId>,
-    pruned: usize,
-    true_results: usize,
-    c_refine: usize,
-    fetched: usize,
-    pages_retried: u64,
-    fault_excluded: usize,
-    gen_ns: u64,
-    reduce_ns: u64,
-    refine_ns: u64,
-    modeled_refine_secs: f64,
-}
-
-impl EngineAnswer {
-    /// The engine-phase portion of this answer as a [`RequestTrace`]; the
-    /// worker layers the lifecycle fields (seq, queue wait, worker id,
-    /// cache generation, deadline, outcome) on top.
-    fn trace_base(&self) -> RequestTrace {
-        RequestTrace {
-            candidates: self.candidates.min(u32::MAX as usize) as u32,
-            cache_hits: self.cache_hits.min(u32::MAX as usize) as u32,
-            pruned: self.pruned.min(u32::MAX as usize) as u32,
-            true_results: self.true_results.min(u32::MAX as usize) as u32,
-            c_refine: self.c_refine.min(u32::MAX as usize) as u32,
-            fetched: self.fetched.min(u32::MAX as usize) as u32,
-            io_pages: self.io_pages.min(u32::MAX as u64) as u32,
-            pages_retried: self.pages_retried.min(u32::MAX as u64) as u32,
-            fault_excluded: self.fault_excluded.min(u32::MAX as usize) as u32,
-            missing: self.missing.len().min(u32::MAX as usize) as u32,
-            gen_ns: self.gen_ns,
-            reduce_ns: self.reduce_ns,
-            refine_ns: self.refine_ns,
-            modeled_refine_secs: self.modeled_refine_secs,
-            ..RequestTrace::default()
-        }
-    }
-}
-
-/// One worker's engine, any backend, behind a uniform `run`.
-enum WorkerEngine<'a> {
-    Point(KnnEngine<'a>),
-    Tree(TreeSearchEngine<'a>),
-    Ingest {
-        engine: Arc<IngestEngine>,
-        io_model: IoModel,
-    },
-}
-
-fn dur_ns(d: Duration) -> u64 {
-    d.as_nanos().min(u64::MAX as u128) as u64
-}
-
-impl WorkerEngine<'_> {
-    fn run(&mut self, q: &[f32], k: usize) -> EngineAnswer {
-        match self {
-            WorkerEngine::Point(engine) => {
-                let (ids, stats) = engine.query(q, k);
-                EngineAnswer {
-                    ids,
-                    io_pages: stats.io_pages,
-                    cache_hits: stats.cache_hits,
-                    candidates: stats.candidates,
-                    pruned: stats.pruned,
-                    true_results: stats.true_results,
-                    c_refine: stats.c_refine,
-                    fetched: stats.fetched,
-                    pages_retried: stats.pages_retried,
-                    fault_excluded: stats.fault_excluded,
-                    gen_ns: dur_ns(stats.gen_cpu),
-                    reduce_ns: dur_ns(stats.reduce_cpu),
-                    refine_ns: dur_ns(stats.refine_cpu),
-                    modeled_refine_secs: stats.modeled_refine_secs,
-                    missing: stats.missing,
-                }
-            }
-            // Ingest: the engine is shared and internally synchronized, so
-            // `run` is a plain call. Slot mapping — `cache_hits` = segment
-            // candidates answered by the sidecar bounds alone (no I/O, the
-            // compact-cache analogue), `candidates` = memtable rows scanned
-            // plus segment bound evals, `c_refine` = exact fetches needed,
-            // `fault_excluded` = unreadable rows the sidecar bounds proved
-            // irrelevant. The engine has no internal phase clock, so the
-            // whole evaluation is charged to the refine phase.
-            WorkerEngine::Ingest { engine, io_model } => {
-                let started = Instant::now();
-                let answer = engine.query(q, k);
-                let elapsed = dur_ns(started.elapsed());
-                EngineAnswer {
-                    ids: answer.hits.iter().map(|&(_, id)| id).collect(),
-                    io_pages: answer.io_pages as u64,
-                    cache_hits: answer.pruned,
-                    candidates: answer.considered,
-                    pruned: answer.pruned,
-                    true_results: answer.hits.len(),
-                    c_refine: answer.fetched,
-                    fetched: answer.fetched,
-                    pages_retried: answer.pages_retried as u64,
-                    fault_excluded: answer.fault_excluded,
-                    gen_ns: 0,
-                    reduce_ns: 0,
-                    refine_ns: elapsed,
-                    modeled_refine_secs: io_model
-                        .modeled_time(answer.io_pages as u64)
-                        .as_secs_f64(),
-                    missing: answer.missing,
-                }
-            }
-            WorkerEngine::Tree(engine) => {
-                let (results, stats) = engine.query(q, k);
-                EngineAnswer {
-                    ids: results.into_iter().map(|(id, _)| id).collect(),
-                    io_pages: stats.io_pages,
-                    cache_hits: stats.exact_hits + stats.compact_hits,
-                    candidates: stats.leaves_total,
-                    pruned: stats.leaves_total.saturating_sub(stats.leaves_visited),
-                    true_results: stats.exact_hits,
-                    c_refine: stats.deferred,
-                    fetched: stats.leaf_fetches.min(u32::MAX as u64) as usize,
-                    pages_retried: stats.pages_retried,
-                    fault_excluded: stats.fault_excluded,
-                    gen_ns: dur_ns(stats.bounds_cpu),
-                    reduce_ns: dur_ns(stats.traverse_cpu),
-                    refine_ns: dur_ns(stats.deferred_cpu),
-                    modeled_refine_secs: stats.modeled_io_secs,
-                    missing: stats.missing,
-                }
-            }
-        }
+impl Worker {
+    /// The `worker{i}` label of this worker's `query.*` series.
+    fn label(&self) -> String {
+        format!("worker{}", self.id)
     }
 }
 
@@ -461,10 +334,9 @@ pub struct QueryServer {
     seq: Arc<AtomicU64>,
     registry: MetricsRegistry,
     slo: Option<Arc<SloMonitor>>,
-    /// Reads the serving cache generation (bumps on hot swap).
-    cache_generation: Arc<dyn Fn() -> u64 + Send + Sync>,
-    /// The live-mutable engine behind this server, when the backend is
-    /// [`Backend::Ingest`] — the admin endpoint reports its status.
+    cache_generation: Generation,
+    /// The live-mutable engine behind this server, when it was started with
+    /// [`QueryServer::start_ingest`] — the admin endpoint reports its status.
     ingest: Option<Arc<IngestEngine>>,
     worker_count: usize,
     queue_capacity: usize,
@@ -485,7 +357,32 @@ impl QueryServer {
         // Store-level binding: I/O counters, plus `storage.fault.*` when the
         // store is a fault injector.
         parts.file.bind_obs(registry);
-        Self::start_backend(Backend::Point { parts, cache }, config, registry)
+        let generation = {
+            let cache = Arc::clone(&cache);
+            Arc::new(move || cache.generation())
+        };
+        Self::spawn(config, registry, generation, move |worker| {
+            worker_loop(&worker, || {
+                let config = &worker.config;
+                let mut engine = parts.engine(Box::new(SharedPointCache::new(Arc::clone(&cache))));
+                engine.io_model = config.io_model;
+                engine.eager_refetch = config.eager_refetch;
+                engine.lookahead = config.lookahead;
+                engine.retry = config.retry;
+                engine.clock = Arc::clone(&config.clock);
+                // Traces are recorded once, at the serving layer, with full
+                // lifecycle context — the engine keeps its histograms but
+                // stays out of the ring.
+                engine.obs =
+                    QueryObs::bind_labeled(&worker.registry, &worker.label()).without_traces();
+                engine.retry_obs.bind(&worker.registry);
+                move |q: &[f32], k: usize| {
+                    let (ids, stats) = engine.query(q, k);
+                    let trace = stats.trace();
+                    (ids, stats.missing, trace)
+                }
+            })
+        })
     }
 
     /// Spawn `config.workers` threads running [`TreeSearchEngine`]s over the
@@ -503,7 +400,32 @@ impl QueryServer {
     ) -> Self {
         cache.bind_obs(registry);
         parts.file.bind_obs(registry);
-        Self::start_backend(Backend::Tree { parts, cache }, config, registry)
+        let generation = {
+            let cache = Arc::clone(&cache);
+            Arc::new(move || cache.generation())
+        };
+        Self::spawn(config, registry, generation, move |worker| {
+            // The tree engine borrows its node cache, so the worker thread
+            // owns the shared adapter out here — it survives engine rebuilds
+            // after a caught panic.
+            let adapter = SharedNodeCache::new(Arc::clone(&cache));
+            worker_loop(&worker, || {
+                let config = &worker.config;
+                let mut engine = parts
+                    .engine(&adapter)
+                    .with_retry(config.retry)
+                    .with_clock(Arc::clone(&config.clock))
+                    .with_lookahead(config.lookahead);
+                engine.io_model = config.io_model;
+                engine.bind_obs_labeled(&worker.registry, &worker.label());
+                move |q: &[f32], k: usize| {
+                    let (results, stats) = engine.query(q, k);
+                    let trace = stats.trace();
+                    let ids = results.into_iter().map(|(id, _)| id).collect();
+                    (ids, stats.missing, trace)
+                }
+            })
+        })
     }
 
     /// Spawn `config.workers` threads serving exact queries against a
@@ -513,49 +435,74 @@ impl QueryServer {
     /// tombstones) set the query observed. The "cache generation" reported
     /// in traces and `/statusz` is the manifest generation, which bumps on
     /// every seal and compaction — the ingest analogue of a hot swap.
+    ///
+    /// Of the engine knobs in [`ServeConfig`] only `io_model` applies here
+    /// (it prices the trace's modeled refinement time): the engine is built
+    /// by the caller, and its segment reads run at look-ahead 0 under
+    /// `IngestConfig::max_read_retries`, so `lookahead`, `retry`, `clock`
+    /// and `eager_refetch` are not consulted.
     pub fn start_ingest(
         engine: Arc<IngestEngine>,
         config: ServeConfig,
         registry: &MetricsRegistry,
     ) -> Self {
-        Self::start_backend(Backend::Ingest { engine }, config, registry)
+        let generation = {
+            let engine = Arc::clone(&engine);
+            Arc::new(move || engine.manifest_generation())
+        };
+        let ingest = Arc::clone(&engine);
+        let mut server = Self::spawn(config, registry, generation, move |worker| {
+            // No per-worker state to build: the engine is shared and
+            // internally synchronized, and a panicked query cannot poison it
+            // (it takes no write locks), so the "rebuild" after a caught
+            // panic is this same closure again. The engine has no phase
+            // clock, so the worker times the call for the trace.
+            let io_model = worker.config.io_model;
+            worker_loop(&worker, || {
+                |q: &[f32], k: usize| {
+                    let started = Instant::now();
+                    let answer = engine.query(q, k);
+                    let trace = answer.trace(started.elapsed(), io_model);
+                    let ids = answer.hits.iter().map(|&(_, id)| id).collect();
+                    (ids, answer.missing, trace)
+                }
+            })
+        });
+        server.ingest = Some(ingest);
+        server
     }
 
-    fn start_backend(backend: Backend, config: ServeConfig, registry: &MetricsRegistry) -> Self {
+    /// The shell every backend shares: queue, counters, and one thread per
+    /// worker running `body` — the constructor's own closure, which builds
+    /// that backend's engine(s) on the worker thread and enters
+    /// [`worker_loop`].
+    fn spawn(
+        config: ServeConfig,
+        registry: &MetricsRegistry,
+        cache_generation: Generation,
+        body: impl Fn(Worker) + Send + Sync + 'static,
+    ) -> Self {
         assert!(config.workers >= 1, "need at least one worker");
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
         let in_flight = Arc::new(AtomicUsize::new(0));
         let obs = Arc::new(ServeObs::bind(registry));
-        let cache_generation: Arc<dyn Fn() -> u64 + Send + Sync> = match &backend {
-            Backend::Point { cache, .. } => {
-                let cache = Arc::clone(cache);
-                Arc::new(move || cache.generation())
-            }
-            Backend::Tree { cache, .. } => {
-                let cache = Arc::clone(cache);
-                Arc::new(move || cache.generation())
-            }
-            Backend::Ingest { engine } => {
-                let engine = Arc::clone(engine);
-                Arc::new(move || engine.manifest_generation())
-            }
-        };
-        let ingest = match &backend {
-            Backend::Ingest { engine } => Some(Arc::clone(engine)),
-            _ => None,
-        };
+        let body = Arc::new(body);
 
         let workers = (0..config.workers)
-            .map(|i| {
-                let queue = Arc::clone(&queue);
-                let in_flight = Arc::clone(&in_flight);
-                let obs = Arc::clone(&obs);
-                let backend = backend.clone();
-                let registry = registry.clone();
-                let config = config.clone();
+            .map(|id| {
+                let worker = Worker {
+                    id,
+                    queue: Arc::clone(&queue),
+                    in_flight: Arc::clone(&in_flight),
+                    obs: Arc::clone(&obs),
+                    registry: registry.clone(),
+                    config: config.clone(),
+                    generation: Arc::clone(&cache_generation),
+                };
+                let body = Arc::clone(&body);
                 thread::Builder::new()
-                    .name(format!("hc-serve-worker{i}"))
-                    .spawn(move || worker_loop(i, queue, in_flight, obs, backend, registry, config))
+                    .name(format!("hc-serve-worker{id}"))
+                    .spawn(move || body(worker))
                     .expect("spawn worker")
             })
             .collect();
@@ -570,7 +517,7 @@ impl QueryServer {
             registry: registry.clone(),
             slo: config.slo.clone(),
             cache_generation,
-            ingest,
+            ingest: None,
             worker_count: config.workers,
             queue_capacity: config.queue_capacity,
             started: Instant::now(),
@@ -695,7 +642,7 @@ impl QueryServer {
         Arc::clone(&self.accepting)
     }
 
-    pub(crate) fn cache_generation_handle(&self) -> Arc<dyn Fn() -> u64 + Send + Sync> {
+    pub(crate) fn cache_generation_handle(&self) -> Generation {
         Arc::clone(&self.cache_generation)
     }
 
@@ -754,56 +701,6 @@ impl Drop for QueryServer {
     }
 }
 
-/// Build one worker's engine over the shared parts. Split out so the worker
-/// can rebuild a fresh engine after a caught panic (the old one's internal
-/// state — heap, cache admission mid-write — is suspect). The tree engine
-/// borrows `node_adapter`, which the worker loop owns so it outlives every
-/// rebuild.
-fn build_engine<'a>(
-    worker_id: usize,
-    backend: &'a Backend,
-    node_adapter: Option<&'a SharedNodeCache>,
-    registry: &MetricsRegistry,
-    config: &ServeConfig,
-) -> WorkerEngine<'a> {
-    match backend {
-        Backend::Point { parts, cache } => {
-            let mut engine = parts.engine(Box::new(SharedPointCache::new(Arc::clone(cache))));
-            engine.io_model = config.io_model;
-            engine.eager_refetch = config.eager_refetch;
-            engine.lookahead = config.lookahead;
-            engine.retry = config.retry;
-            engine.clock = Arc::clone(&config.clock);
-            // Traces are recorded once, at the serving layer, with full
-            // lifecycle context — the engine keeps its histograms but
-            // stays out of the ring.
-            engine.obs = hc_query::QueryObs::bind_labeled(registry, &format!("worker{worker_id}"))
-                .without_traces();
-            engine.retry_obs.bind(registry);
-            WorkerEngine::Point(engine)
-        }
-        Backend::Tree { parts, .. } => {
-            let adapter = node_adapter.expect("tree backend always builds a node adapter");
-            let mut engine = parts
-                .engine(adapter)
-                .with_retry(config.retry)
-                .with_clock(Arc::clone(&config.clock))
-                .with_lookahead(config.lookahead);
-            engine.io_model = config.io_model;
-            engine.bind_obs_labeled(registry, &format!("worker{worker_id}"));
-            WorkerEngine::Tree(engine)
-        }
-        // Ingest: no per-worker state to build — the engine is shared and
-        // a "rebuild" after a caught panic is just a fresh Arc clone (all
-        // real state lives behind the engine's own locks, which a panicked
-        // query cannot poison: it takes no write locks).
-        Backend::Ingest { engine } => WorkerEngine::Ingest {
-            engine: Arc::clone(engine),
-            io_model: config.io_model,
-        },
-    }
-}
-
 fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -814,33 +711,23 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn worker_loop(
-    worker_id: usize,
-    queue: Arc<BoundedQueue<QueryRequest>>,
-    in_flight: Arc<AtomicUsize>,
-    obs: Arc<ServeObs>,
-    backend: Backend,
-    registry: MetricsRegistry,
-    config: ServeConfig,
-) {
-    // The tree engine borrows its node cache, so the worker owns the shared
-    // adapter here — it survives engine rebuilds after a caught panic.
-    let node_adapter = match &backend {
-        Backend::Tree { cache, .. } => Some(SharedNodeCache::new(Arc::clone(cache))),
-        Backend::Point { .. } | Backend::Ingest { .. } => None,
-    };
-    let mut engine = build_engine(
-        worker_id,
-        &backend,
-        node_adapter.as_ref(),
-        &registry,
-        &config,
-    );
-    let cache_generation = || match &backend {
-        Backend::Point { cache, .. } => cache.generation(),
-        Backend::Tree { cache, .. } => cache.generation(),
-        Backend::Ingest { engine } => engine.manifest_generation(),
-    };
+/// The one worker loop: pop, shed if late, evaluate behind a panic fence,
+/// trace, fulfil. `build` makes this worker's engine — "something that,
+/// given `(q, k)`, returns an [`Answer`]" — and is called again after a
+/// caught panic, because the old engine's internal state (heap, cache
+/// admission mid-write) is suspect. Which backend `build` belongs to is
+/// invisible from here.
+fn worker_loop<E: FnMut(&[f32], usize) -> Answer>(worker: &Worker, build: impl Fn() -> E) {
+    let Worker {
+        id,
+        queue,
+        in_flight,
+        obs,
+        registry,
+        config,
+        generation,
+    } = worker;
+    let mut engine = build();
     // One trace record and one SLO observation per terminal request — the
     // same one-uncontended-lock-per-request discipline as the ring itself.
     let finish_trace =
@@ -861,8 +748,8 @@ fn worker_loop(
                 seq: request.seq,
                 queue_wait_us: picked_up.duration_since(request.submitted).as_micros() as u64,
                 total_us,
-                worker: worker_id as u32,
-                cache_generation: cache_generation(),
+                worker: *id as u32,
+                cache_generation: generation(),
                 has_deadline: request.deadline.is_some(),
                 deadline_slack_us: slack_us,
                 outcome,
@@ -901,8 +788,8 @@ fn worker_loop(
         // Isolate the request: a panic inside the engine (poisoned input,
         // index bug) must not take the worker down with queued tickets
         // unfulfilled.
-        let evaluated = catch_unwind(AssertUnwindSafe(|| engine.run(&request.query, request.k)));
-        let answer = match evaluated {
+        let evaluated = catch_unwind(AssertUnwindSafe(|| engine(&request.query, request.k)));
+        let (ids, missing, trace) = match evaluated {
             Ok(answer) => answer,
             Err(payload) => {
                 obs.worker_panics.inc();
@@ -919,13 +806,7 @@ fn worker_loop(
                 });
                 // The engine that panicked mid-query may hold corrupt
                 // scratch state; respawn a fresh one and keep serving.
-                engine = build_engine(
-                    worker_id,
-                    &backend,
-                    node_adapter.as_ref(),
-                    &registry,
-                    &config,
-                );
+                engine = build();
                 obs.worker_respawns.inc();
                 continue;
             }
@@ -935,8 +816,9 @@ fn worker_loop(
         if let Some(sampler) = &config.sampler {
             sampler.observe(&request.query);
         }
+        let io_pages = u64::from(trace.io_pages);
         if let Some(scale) = config.simulate_io_scale {
-            let stall = config.io_model.modeled_time(answer.io_pages).mul_f64(scale);
+            let stall = config.io_model.modeled_time(io_pages).mul_f64(scale);
             if !stall.is_zero() {
                 thread::sleep(stall);
             }
@@ -947,29 +829,26 @@ fn worker_loop(
         obs.completed.inc();
         obs.latency_us.record(latency.as_micros() as u64);
         obs.queue_wait_us.record(queue_wait.as_micros() as u64);
-        let trace_outcome = if answer.missing.is_empty() {
+        let trace_outcome = if missing.is_empty() {
             TraceOutcome::Done
         } else {
             TraceOutcome::Degraded
         };
-        let slack_us = finish_trace(answer.trace_base(), &request, picked_up, trace_outcome);
+        let slack_us = finish_trace(trace, &request, picked_up, trace_outcome);
         let response = QueryResponse {
-            ids: answer.ids,
+            ids,
             latency,
             queue_wait,
-            io_pages: answer.io_pages,
-            cache_hits: answer.cache_hits,
-            candidates: answer.candidates,
+            io_pages,
+            cache_hits: trace.cache_hits as usize,
+            candidates: trace.candidates as usize,
             deadline_slack_us: request.deadline.map(|_| slack_us),
         };
-        let outcome = if answer.missing.is_empty() {
+        let outcome = if missing.is_empty() {
             QueryOutcome::Done(response)
         } else {
             obs.degraded.inc();
-            QueryOutcome::Degraded {
-                response,
-                missing: answer.missing,
-            }
+            QueryOutcome::Degraded { response, missing }
         };
         in_flight.fetch_sub(1, Ordering::AcqRel);
         request.slot.fulfil(outcome);

@@ -401,3 +401,111 @@ fn sharded_node_cache_tree_search_is_exact_and_bounds_match_scheme() {
     }
     assert!(compact_hits > 0, "the searches admitted no leaf");
 }
+
+/// Tier-1's view of the serving layer: one worker each over the flat, tree
+/// and live-ingest backends. Every `Done` answer must be the brute-force
+/// top-k, and a request whose evaluation panics (a query of the wrong
+/// dimension trips each engine's own checks) must resolve as `Failed` while
+/// the same worker — on an engine rebuilt through its backend's own
+/// constructor — answers the next request exactly.
+#[test]
+fn flat_tree_and_ingest_servers_answer_exactly_and_survive_a_panicking_request() {
+    use exploit_every_bit::cache::{ConcurrentNodeCache, ConcurrentPointCache};
+    use exploit_every_bit::index::IDistance;
+    use exploit_every_bit::ingest::{IngestConfig, IngestEngine, WalDevice};
+    use exploit_every_bit::obs::MetricsRegistry;
+    use exploit_every_bit::query::{SharedParts, TreeSharedParts};
+    use exploit_every_bit::serve::{
+        QueryOutcome, QueryServer, ServeConfig, ShardedCompactCache, ShardedNodeCache,
+    };
+
+    let k = 4;
+    let dataset = Arc::new(gaussian_mixture(300, 8, 4, 10.0, 0.5, 5));
+    let queries: Vec<Vec<f32>> = (0..6)
+        .map(|i| {
+            let mut q = dataset.point(PointId(i * 41)).to_vec();
+            q[0] += 0.3;
+            q
+        })
+        .collect();
+    let quantizer = Quantizer::for_range(dataset.value_range());
+    let scheme: Arc<dyn ApproxScheme> = Arc::new(GlobalScheme::new(
+        HistogramKind::EquiWidth.build(&quantizer.frequency_array(dataset.as_flat()), 32),
+        quantizer,
+        dataset.dim(),
+    ));
+    let budget = dataset.file_bytes() / 4;
+    let config = || ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+
+    let flat = {
+        let parts = SharedParts::new(
+            Arc::new(VaFile::build(&dataset, 6)),
+            Arc::new(PointFile::new(dataset.as_ref().clone())),
+        );
+        let cache: Arc<dyn ConcurrentPointCache> =
+            Arc::new(ShardedCompactCache::lru(Arc::clone(&scheme), budget, 2));
+        QueryServer::start(parts, cache, config(), &MetricsRegistry::new())
+    };
+    let tree = {
+        let parts = TreeSharedParts::new(
+            Arc::new(IDistance::build(&dataset, 4, 8, 3)),
+            Arc::clone(&dataset),
+            Arc::new(PointFile::new(dataset.as_ref().clone())),
+        );
+        let cache: Arc<dyn ConcurrentNodeCache> =
+            Arc::new(ShardedNodeCache::lru(Arc::clone(&scheme), budget, 2));
+        QueryServer::start_tree(parts, cache, config(), &MetricsRegistry::new())
+    };
+    let ingest = {
+        let registry = MetricsRegistry::new();
+        let engine = IngestEngine::new(
+            Arc::new(WalDevice::new()),
+            IngestConfig::new(dataset.dim()),
+            &registry,
+        );
+        for (id, p) in dataset.iter() {
+            engine.insert(id, p.to_vec()).expect("admitted");
+            if id.0 == 200 {
+                engine.seal(); // a sealed segment plus a memtable tail
+            }
+        }
+        QueryServer::start_ingest(Arc::new(engine), config(), &registry)
+    };
+
+    for (backend, server) in [("flat", flat), ("tree", tree), ("ingest", ingest)] {
+        let check_exact = |q: &Vec<f32>| {
+            let ticket = server.submit(q.clone(), k, None).expect("admitted");
+            let QueryOutcome::Done(response) = ticket.wait() else {
+                panic!("{backend}: no faults are injected, the answer must be Done");
+            };
+            let mut got: Vec<f64> = response
+                .ids
+                .iter()
+                .map(|&id| euclidean(q, dataset.point(id)))
+                .collect();
+            got.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            let mut all: Vec<f64> = dataset.iter().map(|(_, p)| euclidean(q, p)).collect();
+            all.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            assert_eq!(got.len(), k, "{backend}");
+            for (g, w) in got.iter().zip(&all) {
+                assert!((g - w).abs() < 1e-9, "{backend}: {g} vs brute force {w}");
+            }
+        };
+        queries.iter().for_each(check_exact);
+
+        let poison = server.submit(vec![1.0], k, None).expect("admitted");
+        match poison.wait() {
+            QueryOutcome::Failed { .. } => {}
+            other => panic!("{backend}: a 1-d query must fail its ticket, got {other:?}"),
+        }
+        // The one worker is still there, on a rebuilt engine (the respawn
+        // follows the failed ticket's fulfilment, so count it afterwards).
+        queries.iter().for_each(check_exact);
+        let snap = server.registry().snapshot();
+        assert_eq!(snap.counter("serve.worker_respawns"), Some(1), "{backend}");
+        server.shutdown();
+    }
+}
