@@ -31,15 +31,17 @@ grep -q '"name":"serve.deadline_slack_p05_us","label":"overload"' target/metrics
 # equivalence battery under the two kernel selections the workspace run
 # above (runtime feature detection) did not take — AVX2 pinned on at compile
 # time, and SIMD force-disabled via the env override — then a microbench
-# smoke whose own asserts require bit-identical bounds from every kernel and
-# a real speedup over scalar on each kind of traffic: the dense blocked scan
-# (segment sidecars), the node caches' per-leaf routine and the point cache's
-# batch path.
+# smoke whose own asserts require bit-identical bounds from every kernel on
+# each kind of traffic: the dense blocked scan (segment sidecars), the node
+# caches' per-leaf routine and the point cache's batch path. Its speedups
+# over scalar are gauges, not gates (they depend on the machine and its
+# load); the greps check the series landed.
 RUSTFLAGS="-C target-feature=+avx2" cargo test -q -p hc-core --test scan_equivalence
 HC_SCAN_SIMD=off cargo test -q -p hc-core --test scan_equivalence
 cargo run -q --release -p hc-bench --bin scan -- --smoke
 test -s target/metrics/scan.metrics.json
 grep -q '"name":"scan.speedup_blocked_simd"' target/metrics/scan.metrics.json
+grep -q '"name":"scan.tables_fill_ns"' target/metrics/scan.metrics.json
 grep -q '"name":"scan.leaf_ns_per_point"' target/metrics/scan.metrics.json
 grep -q '"name":"scan.speedup_leaf"' target/metrics/scan.metrics.json
 grep -q '"name":"scan.point_ns_per_hit"' target/metrics/scan.metrics.json
@@ -136,4 +138,8 @@ grep -q '"name":"fleet.bench.pages_repaired","value":[1-9]' target/metrics/fleet
 # workload in both modes against the oracle), then the CLI's own smoke run
 # of the whole 5 × 2 matrix (≈ 20 s; `--smoke` needs a mode, `--all` is it).
 cargo test --release --manifest-path perf/Cargo.toml
+# Known red at PR 16: `tree_warm`'s dominance self-check reads
+# `trace.overhead_pct` ≈ 10.3–11.8 against the harness's limit of 10 (its
+# per-leaf spans cost what they did, over a query half as long). The limit
+# lives in `perf/`; ROADMAP's `benchmark` item decides it, not this gate.
 cargo run --release --quiet --manifest-path perf/Cargo.toml -- --all --smoke >/dev/null

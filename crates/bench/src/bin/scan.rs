@@ -14,7 +14,9 @@
 //!   `lookup_batch` per query (hash probe, LRU touch and counters included).
 //!
 //! The leaf and point rows walk row-major words through the thread's
-//! memoised tables (`hc_cache::tables`), filled by the query's first call.
+//! memoised tables (`hc_cache::tables`), filled by the query's first call;
+//! `scan.tables_fill_ns` is that fill alone (a refill of one reused buffer,
+//! which is what a serving thread does once per query).
 //!
 //! ```text
 //! cargo run --release -p hc-bench --bin scan               # full
@@ -23,8 +25,10 @@
 //!
 //! Every kernel's output is asserted bit-identical to the scalar reference
 //! on every run — this binary measures the *same* numbers, never different
-//! ones. Timings include the per-query table build (that cost is real and
-//! amortizes over the candidate set). Results land in
+//! ones — and that is all it asserts: how much faster a kernel is than scalar
+//! depends on the machine and on what else it is running, so the speedups
+//! are gauges, not gates. Timings include the per-query table build (that
+//! cost is real and amortizes over the candidate set). Results land in
 //! `target/metrics/scan.metrics.json` as `scan.*` gauges.
 
 use std::sync::Arc;
@@ -100,13 +104,7 @@ fn pack(scheme: &dyn ApproxScheme, rows: &[Vec<f32>]) -> PackedCodes {
 
 /// The dense rows under one scheme: per-query p50 of scalar, blocked-scalar
 /// and SIMD over all of `packed`, printed and recorded under `label`.
-/// Returns the SIMD kernel's speedup over scalar.
-fn dense_rows(
-    scheme: &dyn ApproxScheme,
-    packed: &PackedCodes,
-    qs: &[Vec<f32>],
-    label: &str,
-) -> f64 {
+fn dense_rows(scheme: &dyn ApproxScheme, packed: &PackedCodes, qs: &[Vec<f32>], label: &str) {
     let n = packed.len();
     let blocked = BlockedCodes::from_packed(packed);
     let intervals = scheme.scan_intervals().expect("global scheme");
@@ -135,13 +133,12 @@ fn dense_rows(
     let scalar_ns = p50(&mut t_scalar);
     let registry = MetricsRegistry::global();
     println!("dense: {n} lanes, τ={}, {label}", scheme.tau());
-    let mut speedup = 1.0;
     for (name, series, ns) in [
         ("scalar", "scalar", scalar_ns),
         ("blocked-scalar", "blocked_scalar", p50(&mut t_blocked)),
         (Simd::Auto.label(), "blocked_simd", p50(&mut t_simd)),
     ] {
-        speedup = print_row(name, ns, n, scalar_ns);
+        let speedup = print_row(name, ns, n, scalar_ns);
         registry
             .gauge_with_label(&format!("scan.{series}_ns_per_point"), label)
             .set(ns as f64 / n as f64);
@@ -151,7 +148,6 @@ fn dense_rows(
                 .set(speedup);
         }
     }
-    speedup
 }
 
 fn main() {
@@ -184,8 +180,7 @@ fn main() {
     let qs: Vec<Vec<f32>> = (0..queries)
         .map(|_| (0..dim).map(|_| rng.gen_range(0.0f32..256.0)).collect())
         .collect();
-    let simd_label = Simd::Auto.label();
-    println!("d={dim} queries={queries} simd={simd_label}");
+    println!("d={dim} queries={queries} simd={}", Simd::Auto.label());
     println!(
         "{:<16} {:>12} {:>12} {:>10}",
         "kernel", "p50 (µs/q)", "ns/point", "speedup"
@@ -193,19 +188,40 @@ fn main() {
 
     let scheme = global_scheme(&flat, dim, 1 << tau.min(20));
     let packed = pack(scheme.as_ref(), &rows);
-    let speedup = dense_rows(
+    dense_rows(
         scheme.as_ref(),
         &packed,
         &qs,
         &format!("buckets={}", 1u32 << tau.min(20)),
     );
     let sidecar = global_scheme(&flat, dim, SIDECAR_BUCKETS);
-    let sidecar_speedup = dense_rows(
+    dense_rows(
         sidecar.as_ref(),
         &pack(sidecar.as_ref(), &rows),
         &qs,
         &format!("buckets={SIDECAR_BUCKETS}"),
     );
+
+    // The per-query table fill on its own, under the τ-bit scheme.
+    let intervals = scheme.scan_intervals().expect("global scheme");
+    let mut tables = QueryTables::default();
+    let mut t_fill: Vec<u64> = qs
+        .iter()
+        .map(|q| {
+            let t0 = Instant::now();
+            tables.rebuild(q, &intervals, Simd::Auto);
+            t0.elapsed().as_nanos() as u64
+        })
+        .collect();
+    let fill_ns = p50(&mut t_fill);
+    println!(
+        "table fill: {} entries of 16 B, {:.1} µs per query",
+        tables.dim() * tables.stride(),
+        fill_ns as f64 / 1e3
+    );
+    MetricsRegistry::global()
+        .gauge("scan.tables_fill_ns")
+        .set(fill_ns as f64);
 
     // Leaf-shaped and point-shaped rows, under the τ-bit scheme.
     let leaves: Vec<Vec<u64>> = (0..LEAVES)
@@ -309,19 +325,5 @@ fn main() {
     registry.gauge("scan.points").set(n as f64);
     registry.gauge("scan.dim").set(dim as f64);
 
-    // Each path exists to be faster than `scheme.bounds` on its own traffic;
-    // hold it to that here. The margin is intentionally below the big-run
-    // speedups so scheduling jitter on a loaded CI box does not flake the
-    // gate.
-    for (what, speedup) in [
-        (format!("blocked kernel ({simd_label})"), speedup),
-        (
-            format!("blocked kernel ({simd_label}) at {SIDECAR_BUCKETS} buckets"),
-            sidecar_speedup,
-        ),
-        ("point-cache batch path".to_owned(), point_speedup),
-    ] {
-        assert!(speedup >= 1.5, "{what} only {speedup:.2}× over scalar");
-    }
     hc_bench::report::emit("scan");
 }

@@ -22,10 +22,11 @@
 //!   [`concurrent::SharedPointCache`] adapter back into the engine's trait,
 //! * [`tables`] — the per-thread memo of per-query bucket-distance tables
 //!   (one fill per query per thread, one table buffer per thread) and
-//!   [`tables::row_bounder`], the one routine that bounds a cached point
+//!   [`tables::bound_rows`], the one routine that bounds cached points
 //!   through them: both towers store a point as its contiguous row-major
-//!   words, the point cache's batch path calls it per hit and the node
-//!   caches per leaf member,
+//!   words, and it walks a few such rows at a time in lock-step — the point
+//!   cache's batch path hands it a batch's hits, the node caches a leaf's
+//!   members,
 //! * [`swap`] — one generational cell ([`swap::Swappable`], instantiated as
 //!   [`swap::SwappablePointCache`] and [`swap::SwappableNodeCache`]) that
 //!   lets a maintenance daemon hot-swap a freshly rebuilt cache under live

@@ -1,9 +1,11 @@
-//! An intrusive LRU list over slot indices.
+//! An intrusive LRU list over slot indices, and the slot numbering it
+//! orders.
 //!
 //! Shared by the dynamic variants of the point and node caches. Implemented
 //! as a doubly-linked list threaded through a `Vec` (no per-node allocation,
 //! no unsafe): `touch` moves a slot to the front, `pop_back` yields the
-//! least-recently-used slot for eviction.
+//! least-recently-used slot for eviction. [`SlotKeys`] gives each cached key
+//! its slot and names the key a popped slot belonged to.
 
 const NIL: u32 = u32::MAX;
 
@@ -111,9 +113,69 @@ impl LruList {
     }
 }
 
+/// Slot numbers for the keys an [`LruList`] orders, and the way back from a
+/// popped slot to its key: a key takes the most recently released slot, or
+/// a new one past the end when none is free.
+#[derive(Debug, Clone)]
+pub struct SlotKeys<K> {
+    keys: Vec<K>,
+    free: Vec<u32>,
+}
+
+impl<K: Copy> SlotKeys<K> {
+    pub fn new() -> Self {
+        Self {
+            keys: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Give `key` a slot.
+    pub fn assign(&mut self, key: K) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.keys[slot as usize] = key;
+                slot
+            }
+            None => {
+                self.keys.push(key);
+                self.keys.len() as u32 - 1
+            }
+        }
+    }
+
+    /// The key `slot` was last assigned to.
+    pub fn key(&self, slot: u32) -> K {
+        self.keys[slot as usize]
+    }
+
+    /// Hand `slot` back for the next [`SlotKeys::assign`].
+    pub fn release(&mut self, slot: u32) {
+        self.free.push(slot);
+    }
+}
+
+impl<K: Copy> Default for SlotKeys<K> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn released_slots_are_reused_before_new_ones() {
+        let mut s = SlotKeys::new();
+        assert_eq!((s.assign('a'), s.assign('b'), s.assign('c')), (0, 1, 2));
+        s.release(0);
+        s.release(2);
+        assert_eq!(s.assign('d'), 2);
+        assert_eq!(s.assign('e'), 0);
+        assert_eq!(s.assign('f'), 3);
+        assert_eq!([0, 1, 2, 3].map(|slot| s.key(slot)), ['e', 'b', 'd', 'f']);
+    }
 
     #[test]
     fn eviction_order_is_lru() {

@@ -13,7 +13,7 @@
 //!   prune whole nodes before they are fetched; costs
 //!   `points · ⌈d·τ/64⌉ · 8` bytes per leaf.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use hc_core::bounds::DistBounds;
@@ -21,8 +21,9 @@ use hc_core::scan::Simd;
 use hc_core::scheme::ApproxScheme;
 use hc_obs::MetricsRegistry;
 
+use crate::lru::{LruList, SlotKeys};
 use crate::obs::CacheObs;
-use crate::tables::{row_bounder, with_query_tables};
+use crate::tables::{bound_rows, with_query_tables};
 
 /// Result of probing a node cache for one leaf.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,19 +64,21 @@ pub trait NodeCache {
 ///
 /// This is the one bounding routine of the compact node caches. Members
 /// go through the thread's memoised per-query tables ([`with_query_tables`]:
-/// one table fill per query) and [`row_bounder`] — the routine the point
-/// cache's batch path bounds its hits with — so every bound is bit-identical
-/// to [`ApproxScheme::bounds`], which schemes without per-dimension
-/// intervals (mHC-R) fall back to.
+/// one table fill per query) and [`bound_rows`] — the routine the point
+/// cache's batch path bounds its hits with, here walking the leaf's members
+/// in lock-step — so every bound is bit-identical to
+/// [`ApproxScheme::bounds`], which schemes without per-dimension intervals
+/// (mHC-R) fall back to.
 ///
 /// It takes no cache state, so a concurrent wrapper can run it *after*
 /// releasing whatever lock guarded the probe that produced `words`.
 pub fn leaf_bounds(scheme: &Arc<dyn ApproxScheme>, q: &[f32], words: &[u64]) -> Vec<DistBounds> {
     with_query_tables(scheme, q, Simd::Auto, |tables| {
-        words
-            .chunks_exact(scheme.words_per_point())
-            .map(row_bounder(scheme.as_ref(), tables, q))
-            .collect()
+        let wpp = scheme.words_per_point();
+        let mut bounds = Vec::with_capacity(words.len() / wpp);
+        let members = words.chunks_exact(wpp);
+        bound_rows(scheme.as_ref(), tables, q, members, |b| bounds.push(b));
+        bounds
     })
 }
 
@@ -371,16 +374,16 @@ pub struct LruNodeCache {
 }
 
 struct LruNodeInner {
-    /// leaf → (row-major packed words, recency stamp). The words sit behind
+    /// leaf → (row-major packed words, recency slot). The words sit behind
     /// an `Arc` so a probe can hand them out and the caller can bound them
     /// after the cache (and any lock around it) has moved on — an eviction
     /// in between drops the map's reference, not the probed words.
-    resident: HashMap<u32, (Arc<[u64]>, u64)>,
-    /// stamp → leaf, for every resident leaf: the first entry is the LRU
-    /// victim. Stamps come from `clock` and are never reused.
-    recency: BTreeMap<u64, u32>,
+    resident: HashMap<u32, (Arc<[u64]>, u32)>,
+    /// Recency order over slots: the back is the LRU victim.
+    recency: LruList,
+    /// Which leaf holds which slot.
+    slots: SlotKeys<u32>,
     used: usize,
-    clock: u64,
 }
 
 impl LruNodeCache {
@@ -389,9 +392,9 @@ impl LruNodeCache {
             scheme,
             inner: std::cell::RefCell::new(LruNodeInner {
                 resident: HashMap::new(),
-                recency: BTreeMap::new(),
+                recency: LruList::new(),
+                slots: SlotKeys::new(),
                 used: 0,
-                clock: 0,
             }),
             capacity_bytes,
             obs: CacheObs::noop(),
@@ -414,15 +417,12 @@ impl LruNodeCache {
     pub fn probe(&self, leaf: u32) -> Option<Arc<[u64]>> {
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
-        let Some((words, stamp)) = inner.resident.get_mut(&leaf) else {
+        let Some((words, slot)) = inner.resident.get(&leaf) else {
             self.obs.misses.inc();
             return None;
         };
         self.obs.hits.inc();
-        inner.clock += 1;
-        inner.recency.remove(stamp);
-        *stamp = inner.clock;
-        inner.recency.insert(inner.clock, leaf);
+        inner.recency.touch(*slot as usize);
         Some(Arc::clone(words))
     }
 }
@@ -448,11 +448,13 @@ impl NodeCache for LruNodeCache {
         }
         // Evict least-recently-used leaves until the new one fits.
         while inner.used + bytes > self.capacity_bytes {
-            let (_, victim) = inner
+            let slot = inner
                 .recency
-                .pop_first()
+                .pop_back()
                 .expect("used > 0 implies non-empty");
+            let victim = inner.slots.key(slot as u32);
             let (words, _) = inner.resident.remove(&victim).expect("present");
+            inner.slots.release(slot as u32);
             inner.used -= words.len() * 8;
             self.obs.evictions.inc();
         }
@@ -461,9 +463,9 @@ impl NodeCache for LruNodeCache {
             self.scheme.encode_into(p, &mut words);
         }
         debug_assert_eq!(words.len() * 8, bytes);
-        inner.clock += 1;
-        inner.resident.insert(leaf, (words.into(), inner.clock));
-        inner.recency.insert(inner.clock, leaf);
+        let slot = inner.slots.assign(leaf);
+        inner.resident.insert(leaf, (words.into(), slot));
+        inner.recency.push_front(slot as usize);
         inner.used += bytes;
         self.obs.insertions.inc();
         self.obs.used_bytes.set(inner.used as f64);
@@ -644,6 +646,59 @@ mod lru_tests {
             assert_eq!(b.lb.to_bits(), want.lb.to_bits());
             assert_eq!(b.ub.to_bits(), want.ub.to_bits());
         }
+    }
+
+    /// A random probe/admit sequence over leaves of 1–4 members evicts the
+    /// same leaves in the same order as a stamp model: every resident leaf
+    /// carries the tick of its last admit or hit, and the victim is always
+    /// the smallest stamp.
+    #[test]
+    fn evictions_match_a_stamp_model() {
+        let s = scheme(2);
+        let per_point = s.bytes_per_point();
+        let capacity = 9 * per_point;
+        let c = LruNodeCache::new(Arc::clone(&s), capacity);
+        let members = |leaf: u32| 1 + leaf as usize % 4;
+        // leaf → stamp, and the bytes they hold.
+        let mut model: HashMap<u32, u64> = HashMap::new();
+        let mut model_used = 0;
+        let mut evictions = 0;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for tick in 1..=4_000u64 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let leaf = (state >> 33) as u32 % 24;
+            if (state >> 20) & 1 == 0 {
+                assert_eq!(c.probe(leaf).is_some(), model.contains_key(&leaf));
+                model.entry(leaf).and_modify(|stamp| *stamp = tick);
+                continue;
+            }
+            let pts = leaf_points(leaf as f32 * 0.25, members(leaf));
+            c.admit(leaf, &mut pts.iter().map(|p| p.as_slice()));
+            if model.contains_key(&leaf) {
+                continue;
+            }
+            let bytes = members(leaf) * per_point;
+            let mut victims = Vec::new();
+            while model_used + bytes > capacity {
+                let (&victim, _) = model.iter().min_by_key(|(_, &stamp)| stamp).expect("used");
+                model.remove(&victim);
+                model_used -= members(victim) * per_point;
+                victims.push(victim);
+            }
+            model.insert(leaf, tick);
+            model_used += bytes;
+            for &victim in &victims {
+                assert!(!c.contains(victim), "tick {tick}: {victim} survived");
+            }
+            evictions += victims.len();
+            for &resident in model.keys() {
+                assert!(c.contains(resident), "tick {tick}: {resident} lost");
+            }
+            assert_eq!((c.len(), c.used_bytes()), (model.len(), model_used));
+        }
+        assert!(evictions > 500, "only {evictions} evictions");
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! The compact cache has one layout and two ways to read it: a slot is its
 //! point's row-major packed words; `lookup` bounds a hit with the scalar
 //! `ApproxScheme::bounds` (the reference), `lookup_batch` fills the thread's
-//! per-query tables once and walks each hit's row through them
-//! ([`crate::tables::row_bounder`], shared with the node caches) — same
+//! per-query tables once and walks the hits' rows through them together
+//! ([`crate::tables::bound_rows`], shared with the node caches) — same
 //! residency, recency and counters, bit-identical bounds.
 
 use std::collections::HashMap;
@@ -31,9 +31,9 @@ use hc_core::scan::{QueryTables, Simd};
 use hc_core::scheme::ApproxScheme;
 use hc_obs::MetricsRegistry;
 
-use crate::lru::LruList;
+use crate::lru::{LruList, SlotKeys};
 use crate::obs::CacheObs;
-use crate::tables::{row_bounder, with_query_tables};
+use crate::tables::{bound_rows, with_query_tables};
 
 /// Cache replacement / placement policy (paper §2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,8 +158,7 @@ struct Alloc {
 /// Slot-allocated storage bookkeeping shared by both cache kinds.
 struct Slots {
     map: HashMap<PointId, u32>,
-    ids: Vec<PointId>,
-    free: Vec<u32>,
+    ids: SlotKeys<PointId>,
     lru: Option<LruList>,
     max_items: usize,
 }
@@ -168,8 +167,7 @@ impl Slots {
     fn new(max_items: usize, policy: CachePolicy) -> Self {
         Self {
             map: HashMap::with_capacity(max_items.min(1 << 20)),
-            ids: Vec::new(),
-            free: Vec::new(),
+            ids: SlotKeys::new(),
             lru: match policy {
                 CachePolicy::Hff => None,
                 CachePolicy::Lru => Some(LruList::new()),
@@ -193,32 +191,17 @@ impl Slots {
         if self.max_items == 0 || self.map.contains_key(&id) {
             return None;
         }
-        self.lru.as_ref()?; // static caches never admit
-        let mut evicted = false;
-        let slot = if self.map.len() < self.max_items {
-            self.free.pop().unwrap_or_else(|| {
-                let s = self.ids.len() as u32;
-                self.ids.push(id);
-                s
-            })
-        } else {
-            let victim = self
-                .lru
-                .as_mut()
-                .expect("dynamic cache")
-                .pop_back()
-                .expect("full cache has entries") as u32;
-            let old = self.ids[victim as usize];
-            self.map.remove(&old);
-            evicted = true;
-            victim
-        };
-        self.ids[slot as usize] = id;
+        let lru = self.lru.as_mut()?; // static caches never admit
+        let evicted = self.map.len() >= self.max_items;
+        if evicted {
+            // The victim's slot is the one `assign` hands out next.
+            let victim = lru.pop_back().expect("full cache has entries") as u32;
+            self.map.remove(&self.ids.key(victim));
+            self.ids.release(victim);
+        }
+        let slot = self.ids.assign(id);
         self.map.insert(id, slot);
-        self.lru
-            .as_mut()
-            .expect("dynamic cache")
-            .push_front(slot as usize);
+        lru.push_front(slot as usize);
         Some(Alloc { slot, evicted })
     }
 
@@ -226,8 +209,7 @@ impl Slots {
     fn fill(&mut self, id: PointId) -> u32 {
         debug_assert!(self.lru.is_none(), "fill is for static caches");
         debug_assert!(self.map.len() < self.max_items);
-        let slot = self.ids.len() as u32;
-        self.ids.push(id);
+        let slot = self.ids.assign(id);
         self.map.insert(id, slot);
         slot
     }
@@ -375,6 +357,8 @@ pub struct CompactPointCache {
     policy: CachePolicy,
     /// Encode buffer of [`CompactPointCache::write_slot`].
     scratch: Vec<u64>,
+    /// `(slot, output position)` of each hit of the probe in progress.
+    hits: Vec<(u32, u32)>,
     obs: CacheObs,
 }
 
@@ -393,6 +377,7 @@ impl CompactPointCache {
             capacity_bytes,
             policy,
             scratch: Vec::new(),
+            hits: Vec::new(),
             obs: CacheObs::noop(),
         }
     }
@@ -431,32 +416,42 @@ impl CompactPointCache {
         self.words[at..at + self.wpp].copy_from_slice(&self.scratch);
     }
 
-    /// Probe `ids` in order — residency, recency and hit/miss accounting —
-    /// and emit one answer per id, a hit's bounds coming from
-    /// [`row_bounder`]: `tables` is what [`with_query_tables`] yields for
-    /// `(scheme, q)`, or `None` for the scalar [`ApproxScheme::bounds`]
-    /// reference.
+    /// Probe the ids of `probes` in order, then bound the hits together:
+    /// `probes` yields `(position, id)` and `out[position]`, which the caller
+    /// has set to [`CacheLookup::Miss`], becomes the hit's bounds. The first
+    /// pass does what per-id lookups in that order do to the cache —
+    /// residency, LRU touch — and counts hits and misses once for the batch;
+    /// the second hands the hits' rows to [`bound_rows`]: `tables` is what
+    /// [`with_query_tables`] yields for `(scheme, q)`, or `None` for the
+    /// scalar [`ApproxScheme::bounds`] reference.
     fn probe_each(
         &mut self,
         q: &[f32],
         tables: Option<&QueryTables>,
-        ids: &[PointId],
-        mut emit: impl FnMut(CacheLookup),
+        probes: impl Iterator<Item = (usize, PointId)>,
+        out: &mut [CacheLookup],
     ) {
-        let bound = row_bounder(self.scheme.as_ref(), tables, q);
-        for &id in ids {
-            emit(match self.slots.get(id) {
-                Some(slot) => {
-                    self.obs.hits.inc();
-                    let at = slot as usize * self.wpp;
-                    CacheLookup::Bounds(bound(&self.words[at..at + self.wpp]))
-                }
-                None => {
-                    self.obs.misses.inc();
-                    CacheLookup::Miss
-                }
-            });
+        self.hits.clear();
+        let mut misses = 0;
+        for (at, id) in probes {
+            debug_assert_eq!(out[at], CacheLookup::Miss);
+            match self.slots.get(id) {
+                Some(slot) => self.hits.push((slot, at as u32)),
+                None => misses += 1,
+            }
         }
+        self.obs.hits.add(self.hits.len() as u64);
+        self.obs.misses.add(misses);
+        let (words, wpp) = (&self.words, self.wpp);
+        let rows = self.hits.iter().map(|&(slot, _)| {
+            let at = slot as usize * wpp;
+            &words[at..at + wpp]
+        });
+        let mut answered = self.hits.iter();
+        bound_rows(self.scheme.as_ref(), tables, q, rows, |bounds| {
+            let &(_, at) = answered.next().expect("one bound per hit");
+            out[at as usize] = CacheLookup::Bounds(bounds);
+        });
     }
 
     /// Number of resident points.
@@ -484,26 +479,29 @@ impl CompactPointCache {
 
     /// Batch probe through tables the caller already holds — the sharded
     /// wrapper takes them from [`with_query_tables`] once per query and
-    /// hands them to every shard it locks. `out[i]` answers `ids[i]`;
-    /// recency and accounting effects are those of per-id
-    /// [`PointCache::lookup`] calls in `ids` order, and so is every bound,
-    /// bit for bit.
+    /// hands them to every shard it locks, each with its share of the
+    /// positions. `out[at]` answers `ids[at]` for every `at` of `positions`
+    /// and must hold [`CacheLookup::Miss`] on entry; recency and accounting
+    /// effects are those of per-id [`PointCache::lookup`] calls in
+    /// `positions` order, and so is every bound, bit for bit.
     pub fn lookup_batch_with_tables(
         &mut self,
         q: &[f32],
         tables: Option<&QueryTables>,
         ids: &[PointId],
-        out: &mut Vec<CacheLookup>,
+        positions: &[u32],
+        out: &mut [CacheLookup],
     ) {
-        out.clear();
-        self.probe_each(q, tables, ids, |looked| out.push(looked));
+        let probes = positions.iter().map(|&at| (at as usize, ids[at as usize]));
+        self.probe_each(q, tables, probes, out);
     }
 }
 
 impl PointCache for CompactPointCache {
     fn lookup(&mut self, q: &[f32], id: PointId) -> CacheLookup {
-        let mut looked = CacheLookup::Miss;
-        self.probe_each(q, None, &[id], |l| looked = l);
+        let mut looked = [CacheLookup::Miss];
+        self.probe_each(q, None, std::iter::once((0, id)), &mut looked);
+        let [looked] = looked;
         looked
     }
 
@@ -523,9 +521,11 @@ impl PointCache for CompactPointCache {
     }
 
     fn lookup_batch(&mut self, q: &[f32], ids: &[PointId], out: &mut Vec<CacheLookup>) {
+        out.clear();
+        out.resize(ids.len(), CacheLookup::Miss);
         let scheme = Arc::clone(&self.scheme);
         with_query_tables(&scheme, q, Simd::Auto, |tables| {
-            self.lookup_batch_with_tables(q, tables, ids, out)
+            self.probe_each(q, tables, ids.iter().copied().enumerate(), out)
         });
     }
 

@@ -14,13 +14,13 @@
 //!
 //! Both towers also store a cached point the same way — its `⌈d·τ/64⌉`
 //! row-major packed words, contiguous (paper footnote 5) — so one routine,
-//! [`row_bounder`], turns tables plus such rows into bounds for either.
+//! [`bound_rows`], turns tables plus such rows into bounds for either: a
+//! leaf's members, or a batch's hits, a few rows at a time in lock-step.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
 use hc_core::bounds::DistBounds;
-use hc_core::codes::CodeIter;
 use hc_core::scan::{QueryTables, Simd};
 use hc_core::scheme::ApproxScheme;
 
@@ -38,9 +38,18 @@ struct TableMemo {
 
 impl TableMemo {
     fn holds(&self, scheme: &Arc<dyn ApproxScheme>, q: &[f32]) -> bool {
+        // The node tower asks once per leaf, ≈ 1,900 times per query, and the
+        // answer is almost always yes: fold the differing bits instead of
+        // stopping at the first one, so the compare has no branch per
+        // component and vectorises.
         self.scheme.as_ref().is_some_and(|s| Arc::ptr_eq(s, scheme))
             && self.q_bits.len() == q.len()
-            && self.q_bits.iter().zip(q).all(|(&b, v)| b == v.to_bits())
+            && self
+                .q_bits
+                .iter()
+                .zip(q)
+                .fold(0, |diff, (&b, v)| diff | (b ^ v.to_bits()))
+                == 0
     }
 }
 
@@ -81,23 +90,69 @@ pub fn with_query_tables<R>(
     })
 }
 
+/// Rows walked per lock-step pass. Measured once (CHANGES.md, PR 16): on the
+/// `scan` bin's leaf and point rows 4 and 8 tie and both beat 1; end to end
+/// 4 is ahead on `flat_warm` — four accumulators, four code words and the
+/// table cursor still fit the register file — and needs half the tail
+/// widths.
+///
+/// Two places follow this constant by hand: the tail arms of [`bound_rows`]
+/// (one per width below `WALK`, held to it by a const assert) and the row
+/// counts of `bound_rows_matches_scheme_bounds_at_every_row_count` in
+/// `crates/core/tests/scan_equivalence.rs`, which must reach `2·WALK + 1`
+/// (it runs to 17, enough for a `WALK` of up to 8).
+const WALK: usize = 4;
+
 /// The routine that bounds cached points for one `(scheme, q)`, given what
-/// [`with_query_tables`] handed out for them: each call takes one point's
-/// row-major packed words and reads `d` table entries in dimension-ascending
-/// order — the addition sequence of [`ApproxScheme::bounds`], so the result
-/// is bit-identical to it — or calls `scheme.bounds` itself when the scheme
-/// has no tables (mHC-R). Build it once per batch or leaf: it hoists the
-/// scheme's code geometry out of the per-point work.
-pub fn row_bounder<'a>(
-    scheme: &'a dyn ApproxScheme,
-    tables: Option<&'a QueryTables>,
-    q: &'a [f32],
-) -> impl Fn(&[u64]) -> DistBounds + 'a {
-    let (tau, d) = (scheme.tau(), scheme.dim());
-    move |row| match tables {
-        Some(t) => t.lane_bounds(CodeIter::new(row, tau, d)),
-        None => scheme.bounds(q, row),
+/// [`with_query_tables`] handed out for them: `rows` yields each point's
+/// row-major packed words and `emit` receives their bounds in the same
+/// order. Rows go through [`QueryTables::rows_bounds`] [`WALK`] at a time and
+/// the remainder in one pass of exactly its own width — never a padded
+/// walk — each point reading `d` table entries in dimension-ascending order:
+/// the addition sequence of [`ApproxScheme::bounds`], so every result is
+/// bit-identical to it. Schemes without tables (mHC-R) get `scheme.bounds`
+/// per row.
+pub fn bound_rows<'a>(
+    scheme: &dyn ApproxScheme,
+    tables: Option<&QueryTables>,
+    q: &[f32],
+    rows: impl Iterator<Item = &'a [u64]>,
+    mut emit: impl FnMut(DistBounds),
+) {
+    let Some(tables) = tables else {
+        rows.for_each(|row| emit(scheme.bounds(q, row)));
+        return;
+    };
+    let tau = scheme.tau();
+    let mut group: [&[u64]; WALK] = [&[]; WALK];
+    let mut n = 0;
+    for row in rows {
+        group[n] = row;
+        n += 1;
+        if n == WALK {
+            walk(tables, group, tau, &mut emit);
+            n = 0;
+        }
     }
+    // The width is a const parameter of the walk: one arm per tail width.
+    const _: () = assert!(WALK == 4, "the tail arms cover widths 1 to WALK - 1");
+    match group[..n] {
+        [] => {}
+        [a] => walk(tables, [a], tau, &mut emit),
+        [a, b] => walk(tables, [a, b], tau, &mut emit),
+        [a, b, c] => walk(tables, [a, b, c], tau, &mut emit),
+        _ => unreachable!("a full group was flushed above"),
+    }
+}
+
+/// One lock-step pass over exactly `N` rows.
+fn walk<const N: usize>(
+    tables: &QueryTables,
+    rows: [&[u64]; N],
+    tau: u32,
+    emit: &mut impl FnMut(DistBounds),
+) {
+    tables.rows_bounds(rows, tau).into_iter().for_each(emit);
 }
 
 #[cfg(test)]
@@ -115,8 +170,11 @@ mod tests {
     fn bounds_via_memo(s: &Arc<dyn ApproxScheme>, q: &[f32], words: &[u64]) -> (u64, u64) {
         with_query_tables(s, q, Simd::Auto, |t| {
             assert!(t.is_some(), "global scheme has intervals");
-            let b = row_bounder(s.as_ref(), t, q)(words);
-            (b.lb.to_bits(), b.ub.to_bits())
+            let mut bits = None;
+            bound_rows(s.as_ref(), t, q, std::iter::once(words), |b| {
+                bits = Some((b.lb.to_bits(), b.ub.to_bits()));
+            });
+            bits.expect("one row, one bound")
         })
     }
 

@@ -14,9 +14,11 @@
 //!    (dimension-major, [`BlockedCodes`]) so one pass per dimension extracts
 //!    a whole block's codes with word-parallel shifts/masks and accumulates
 //!    table entries into per-lane running sums ([`scan_slots`]). The inner
-//!    table-gather loop has a runtime-detected AVX2 path (four plain loads
-//!    assembled into one 4-lane add; no hardware gather) with a
-//!    scalar-blocked fallback.
+//!    table-gather loop has a runtime-detected AVX2 path (two lanes'
+//!    16-byte `(lb², ub²)` entries per vector add, plain loads; no hardware
+//!    gather) with a scalar-blocked fallback. Points stored row-major (the
+//!    point and node caches) are walked several at a time in lock-step
+//!    instead ([`QueryTables::rows_bounds`]).
 //!
 //! ## Layout
 //!
@@ -43,7 +45,8 @@
 //! [`crate::bounds::BoundsAcc`] path uses, and every kernel accumulates a
 //! candidate's terms **per lane in dimension-ascending order** — the exact
 //! addition sequence of the scalar path. Vectorization happens *across
-//! candidates* (one f64 accumulator per lane), never across dimensions, so
+//! candidates* (one `[lb², ub²]` accumulator per lane), never across
+//! dimensions, so
 //! f64 non-associativity never enters: `scan_slots` output is bit-identical
 //! to `ApproxScheme::bounds`, and the AVX2 gather path is bit-identical to
 //! the scalar-blocked fallback (per-lane adds are independent). The
@@ -53,7 +56,7 @@
 use std::sync::OnceLock;
 
 use crate::bounds::{interval_contrib, DistBounds};
-use crate::codes::{pack_codes, PackedCodes};
+use crate::codes::{pack_codes, words_per_point, PackedCodes};
 
 /// Lanes (candidate slots) per block. 64 makes every dimension row exactly
 /// τ words: `64·τ` bits per row for any τ in `[1, 32]`.
@@ -112,15 +115,17 @@ impl ScanIntervals<'_> {
 /// the `(lb², ub²)` contribution of `q[j]` against bucket `b`'s interval.
 ///
 /// Built once per query (cost `O(d·nb)`), then every candidate's bounds are
-/// `d` table-gathers instead of `d` interval computations. Rows are padded
+/// `d` table reads instead of `d` interval computations. Rows are padded
 /// to a uniform `stride` (the max bucket count over dimensions) so kernels
-/// index with one multiply.
+/// index with one multiply. A bucket's two contributions sit side by side in
+/// one 16-byte entry, so a lookup touches one cache line, not one in each of
+/// two arrays.
 #[derive(Default)]
 pub struct QueryTables {
     d: usize,
     stride: usize,
-    lb: Vec<f64>,
-    ub: Vec<f64>,
+    /// `pairs[j·stride + b] = [lb², ub²]` of `q[j]` against bucket `b`.
+    pairs: Vec<[f64; 2]>,
 }
 
 impl QueryTables {
@@ -140,8 +145,8 @@ impl QueryTables {
     }
 
     /// Refill `self` for a new query, reusing the table storage. Repeated
-    /// per-query builds through one buffer skip the two multi-hundred-KB
-    /// allocations (and their page faults) that a fresh [`QueryTables::build`]
+    /// per-query builds through one buffer skip the multi-hundred-KB
+    /// allocation (and its page faults) that a fresh [`QueryTables::build`]
     /// pays; the resulting entries are identical.
     pub fn rebuild(&mut self, q: &[f32], intervals: &ScanIntervals<'_>, simd: Simd) {
         let d = q.len();
@@ -157,26 +162,24 @@ impl QueryTables {
         // beyond it are never gathered (codes index below the bucket count),
         // so stale padding from a previous query is unobservable.
         let len = d * stride;
-        if self.lb.len() != len {
-            self.lb.clear();
-            self.lb.resize(len, 0.0);
-            self.ub.clear();
-            self.ub.resize(len, 0.0);
+        if self.pairs.len() != len {
+            self.pairs.clear();
+            self.pairs.resize(len, [0.0; 2]);
         }
         let use_avx2 = simd.use_avx2();
         for (j, &qj) in q.iter().enumerate() {
             let buckets = intervals.row(j);
-            let nb = buckets.len();
-            let row_lb = &mut self.lb[j * stride..j * stride + nb];
-            let row_ub = &mut self.ub[j * stride..j * stride + nb];
+            let row = &mut self.pairs[j * stride..j * stride + buckets.len()];
             #[cfg(target_arch = "x86_64")]
             if use_avx2 {
-                unsafe { fill_row_avx2(qj, buckets, row_lb, row_ub) };
+                // SAFETY: `use_avx2` implies runtime AVX2 support; `row` was
+                // sliced to `buckets.len()` entries above.
+                unsafe { fill_row_avx2(qj, buckets, row) };
                 continue;
             }
             #[cfg(not(target_arch = "x86_64"))]
             let _ = use_avx2;
-            fill_row_scalar(qj, buckets, row_lb, row_ub);
+            fill_row_scalar(qj, buckets, row);
         }
     }
 
@@ -192,23 +195,111 @@ impl QueryTables {
         self.stride
     }
 
-    /// Bound a single candidate through the tables (the per-lane fallback
-    /// for sparse blocks). Accumulates in dimension-ascending order — the
-    /// same f64 addition sequence as `ApproxScheme::bounds`, hence
-    /// bit-identical output.
+    /// Dimension `j`'s table row: `stride` entries, of which the leading
+    /// bucket count are filled.
+    #[inline]
+    fn row(&self, j: usize) -> &[[f64; 2]] {
+        &self.pairs[j * self.stride..(j + 1) * self.stride]
+    }
+
+    /// The `[lb², ub²]` contribution of `q[j]` against bucket `bucket`.
+    #[inline]
+    pub fn entry(&self, j: usize, bucket: usize) -> [f64; 2] {
+        self.pairs[j * self.stride + bucket]
+    }
+
+    /// Bound a single candidate through the tables, one code at a time — the
+    /// reference the lock-step and blocked walks are tested against.
+    /// Accumulates in dimension-ascending order — the same f64 addition
+    /// sequence as `ApproxScheme::bounds`, hence bit-identical output.
     #[inline]
     pub fn lane_bounds(&self, codes: impl Iterator<Item = u32>) -> DistBounds {
-        let mut lb_sq = 0.0f64;
-        let mut ub_sq = 0.0f64;
+        let mut acc = [0.0f64; 2];
         for (j, code) in codes.enumerate() {
-            let at = j * self.stride + code as usize;
-            lb_sq += self.lb[at];
-            ub_sq += self.ub[at];
+            add_pair(&mut acc, self.entry(j, code as usize));
         }
-        DistBounds {
-            lb: lb_sq.sqrt(),
-            ub: ub_sq.sqrt(),
+        finish(acc)
+    }
+
+    /// Bound `N` row-major packed points (`⌈d·τ/64⌉` words each, as
+    /// [`crate::codes::pack_codes`] lays them out) in lock-step: dimension
+    /// `j` of all `N` before dimension `j + 1` of any.
+    ///
+    /// One point walked alone is a chain of `d` dependent f64 adds per
+    /// bound, each waiting on a table load; `N` points give the core `N`
+    /// independent chains and `N` loads to overlap. Every point's own sums
+    /// still fold in dimension-ascending order, so each result is
+    /// bit-identical to [`QueryTables::lane_bounds`] of that point, and so to
+    /// `ApproxScheme::bounds`. All rows share one bit geometry (same `τ`,
+    /// same `d`), so where a code sits in its word is tracked once for the
+    /// group, not once per point.
+    ///
+    /// # Panics
+    /// Panics if a row is shorter than `⌈d·τ/64⌉` words or holds a code at or
+    /// beyond the table stride.
+    pub fn rows_bounds<const N: usize>(&self, rows: [&[u64]; N], tau: u32) -> [DistBounds; N] {
+        // The same walk twice: with τ = 8 — the width every served stack
+        // uses — known at compile time, a code is a byte move and a shift by
+        // a constant; by a run-time τ each shift goes through `cl`. Kept on
+        // end-to-end pairs against `self.walk(rows, tau)` alone (CHANGES.md,
+        // PR 16): `tree_warm` qps 640 → 746, `flat_warm` 2,341 → 2,533,
+        // ahead in 10 of 10 each.
+        if tau == 8 {
+            self.walk(rows, 8)
+        } else {
+            self.walk(rows, tau)
         }
+    }
+
+    #[inline(always)]
+    fn walk<const N: usize>(&self, rows: [&[u64]; N], tau: u32) -> [DistBounds; N] {
+        let t = tau as usize;
+        let mask = code_mask(tau);
+        let rows = rows.map(|r| &r[..words_per_point(self.d, tau)]);
+        let mut acc = [[0.0f64; 2]; N];
+        // Each row's current word with the codes already read shifted out,
+        // the count of unread bits left in it (the same for every row), and
+        // the index of the word to load next.
+        let mut cur = [0u64; N];
+        let mut have = 0;
+        let mut next = 0;
+        for table in self.pairs.chunks_exact(self.stride).take(self.d) {
+            if have >= t {
+                for (acc, cur) in acc.iter_mut().zip(&mut cur) {
+                    add_pair(acc, table[(*cur & mask) as usize]);
+                    *cur >>= t;
+                }
+                have -= t;
+            } else {
+                // The code's low `have` bits are what is left of the current
+                // word (none when the previous code ended on the boundary),
+                // the rest are the low bits of the next one.
+                for ((acc, cur), row) in acc.iter_mut().zip(&mut cur).zip(&rows) {
+                    let word = row[next];
+                    add_pair(acc, table[((*cur | word << have) & mask) as usize]);
+                    *cur = word >> (t - have);
+                }
+                next += 1;
+                have += 64 - t;
+            }
+        }
+        acc.map(finish)
+    }
+}
+
+/// Fold one table entry into a candidate's running `[lb², ub²]`.
+#[inline(always)]
+fn add_pair(acc: &mut [f64; 2], entry: [f64; 2]) {
+    acc[0] += entry[0];
+    acc[1] += entry[1];
+}
+
+/// Running `[lb², ub²]` → bounds.
+#[inline(always)]
+fn finish(acc: [f64; 2]) -> DistBounds {
+    DistBounds {
+        lb: acc[0].sqrt(),
+        ub: acc[1].sqrt(),
     }
 }
 
@@ -499,19 +590,18 @@ impl Simd {
 #[derive(Default)]
 pub struct ScanScratch {
     codes: Vec<u32>,
-    lb_sq: Vec<f64>,
-    ub_sq: Vec<f64>,
+    /// Per-lane running `[lb², ub²]`, interleaved like the table entries.
+    acc: Vec<[f64; 2]>,
     pairs: Vec<(u32, u32)>,
 }
 
 /// Fill one dimension's table row via [`interval_contrib`] — the reference
 /// for the vectorized fill below.
 #[inline]
-fn fill_row_scalar(q: f32, buckets: &[(f32, f32)], row_lb: &mut [f64], row_ub: &mut [f64]) {
-    for (b, &(lo, hi)) in buckets.iter().enumerate() {
+fn fill_row_scalar(q: f32, buckets: &[(f32, f32)], row: &mut [[f64; 2]]) {
+    for (entry, &(lo, hi)) in row.iter_mut().zip(buckets) {
         let (l, u) = interval_contrib(q, lo, hi);
-        row_lb[b] = l;
-        row_ub[b] = u;
+        *entry = [l, u];
     }
 }
 
@@ -523,13 +613,15 @@ fn fill_row_scalar(q: f32, buckets: &[(f32, f32)], row_lb: &mut [f64], row_ub: &
 /// itself.
 ///
 /// # Safety
-/// Caller must ensure AVX2 is available. `row_lb`/`row_ub` must be at least
-/// `buckets.len()` long (sliced so by the caller).
+/// Caller must ensure AVX2 is available. `row` must be at least
+/// `buckets.len()` entries long (sliced so by the caller).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn fill_row_avx2(q: f32, buckets: &[(f32, f32)], row_lb: &mut [f64], row_ub: &mut [f64]) {
+unsafe fn fill_row_avx2(q: f32, buckets: &[(f32, f32)], row: &mut [[f64; 2]]) {
     use std::arch::x86_64::*;
+    debug_assert!(row.len() >= buckets.len());
     let n = buckets.len();
+    let out = row.as_mut_ptr() as *mut f64;
     let chunks = n / 4;
     let qv = _mm256_set1_pd(f64::from(q));
     let qs = _mm_set1_ps(q);
@@ -556,14 +648,20 @@ unsafe fn fill_row_avx2(q: f32, buckets: &[(f32, f32)], row_lb: &mut [f64], row_
         // near² is discarded (masked to +0.0) inside the interval, exactly
         // the scalar branch.
         let lb = _mm256_and_pd(outside, _mm256_mul_pd(near, near));
-        _mm256_storeu_pd(row_lb.as_mut_ptr().add(c * 4), lb);
-        _mm256_storeu_pd(row_ub.as_mut_ptr().add(c * 4), ub);
+        // Interleave to (lb, ub) entries: unpack pairs buckets (0, 2) and
+        // (1, 3) within the 128-bit halves, the half swap restores order.
+        let even = _mm256_unpacklo_pd(lb, ub); // lb0 ub0 lb2 ub2
+        let odd = _mm256_unpackhi_pd(lb, ub); // lb1 ub1 lb3 ub3
+        _mm256_storeu_pd(out.add(c * 8), _mm256_permute2f128_pd::<0x20>(even, odd));
+        _mm256_storeu_pd(
+            out.add(c * 8 + 4),
+            _mm256_permute2f128_pd::<0x31>(even, odd),
+        );
     }
     for b in chunks * 4..n {
         let (lo, hi) = *buckets.get_unchecked(b);
         let (l, u) = interval_contrib(q, lo, hi);
-        *row_lb.get_unchecked_mut(b) = l;
-        *row_ub.get_unchecked_mut(b) = u;
+        *row.get_unchecked_mut(b) = [l, u];
     }
 }
 
@@ -582,70 +680,41 @@ unsafe fn _mm256_cvtps_pd_mask(m: std::arch::x86_64::__m128) -> std::arch::x86_6
 /// Scalar-blocked fallback; bit-identical to the AVX2 path because each
 /// lane's accumulator is independent.
 #[inline]
-fn gather_add_scalar(
-    codes: &[u32],
-    lb_row: &[f64],
-    ub_row: &[f64],
-    lb: &mut [f64],
-    ub: &mut [f64],
-) {
-    for l in 0..codes.len() {
-        let c = codes[l] as usize;
-        lb[l] += lb_row[c];
-        ub[l] += ub_row[c];
+fn gather_add_scalar(codes: &[u32], table: &[[f64; 2]], acc: &mut [[f64; 2]]) {
+    for (acc, &c) in acc.iter_mut().zip(codes) {
+        add_pair(acc, table[c as usize]);
     }
 }
 
-/// AVX2 table-gather: 4 f64 lanes assembled from four plain loads per
-/// vector add, scalar tail in the same lane order. Not `vgatherdpd`
-/// (`_mm256_i32gather_pd`): where that instruction is microcoded it loses to
-/// the scalar fallback outright (measured 2.2× slower on the reference
-/// sandbox), and which CPUs those are is not in CPUID. Plain loads have no
-/// such cliff and keep the 4-wide accumulate.
+/// AVX2 table-gather: two lanes per vector add, each lane's `(lb², ub²)`
+/// entry one 16-byte load into its half of the register, scalar tail in the
+/// same lane order. Not `vgatherdpd` (`_mm256_i32gather_pd`): where that
+/// instruction is microcoded it loses to the scalar fallback outright
+/// (measured 2.2× slower on the reference sandbox), and which CPUs those are
+/// is not in CPUID. Plain loads have no such cliff.
 ///
 /// # Safety
-/// Caller must ensure AVX2 is available, `lb` and `ub` are at least
-/// `codes.len()` long, and every code indexes within the table rows
-/// (guaranteed by the encoder: codes < bucket count ≤ stride).
+/// Caller must ensure AVX2 is available, `acc` is at least `codes.len()`
+/// long, and every code indexes within the table row (guaranteed by the
+/// encoder: codes < bucket count ≤ stride).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn gather_add_avx2(
-    codes: &[u32],
-    lb_row: &[f64],
-    ub_row: &[f64],
-    lb: &mut [f64],
-    ub: &mut [f64],
-) {
+unsafe fn gather_add_avx2(codes: &[u32], table: &[[f64; 2]], acc: &mut [[f64; 2]]) {
     use std::arch::x86_64::*;
+    debug_assert!(acc.len() >= codes.len());
     let n = codes.len();
-    let chunks = n / 4;
-    for c in 0..chunks {
-        let at = c * 4;
-        let c0 = *codes.get_unchecked(at) as usize;
-        let c1 = *codes.get_unchecked(at + 1) as usize;
-        let c2 = *codes.get_unchecked(at + 2) as usize;
-        let c3 = *codes.get_unchecked(at + 3) as usize;
-        let lb_g = _mm256_set_pd(
-            *lb_row.get_unchecked(c3),
-            *lb_row.get_unchecked(c2),
-            *lb_row.get_unchecked(c1),
-            *lb_row.get_unchecked(c0),
-        );
-        let ub_g = _mm256_set_pd(
-            *ub_row.get_unchecked(c3),
-            *ub_row.get_unchecked(c2),
-            *ub_row.get_unchecked(c1),
-            *ub_row.get_unchecked(c0),
-        );
-        let lb_acc = _mm256_loadu_pd(lb.as_ptr().add(at));
-        let ub_acc = _mm256_loadu_pd(ub.as_ptr().add(at));
-        _mm256_storeu_pd(lb.as_mut_ptr().add(at), _mm256_add_pd(lb_acc, lb_g));
-        _mm256_storeu_pd(ub.as_mut_ptr().add(at), _mm256_add_pd(ub_acc, ub_g));
+    let sums = acc.as_mut_ptr() as *mut f64;
+    for c in 0..n / 2 {
+        let at = c * 2;
+        let e0 = table.get_unchecked(*codes.get_unchecked(at) as usize);
+        let e1 = table.get_unchecked(*codes.get_unchecked(at + 1) as usize);
+        let entries = _mm256_set_m128d(_mm_loadu_pd(e1.as_ptr()), _mm_loadu_pd(e0.as_ptr()));
+        let sum = _mm256_loadu_pd(sums.add(at * 2));
+        _mm256_storeu_pd(sums.add(at * 2), _mm256_add_pd(sum, entries));
     }
-    for l in chunks * 4..n {
-        let c = *codes.get_unchecked(l) as usize;
-        *lb.get_unchecked_mut(l) += *lb_row.get_unchecked(c);
-        *ub.get_unchecked_mut(l) += *ub_row.get_unchecked(c);
+    if n % 2 == 1 {
+        let c = *codes.get_unchecked(n - 1) as usize;
+        add_pair(acc.get_unchecked_mut(n - 1), *table.get_unchecked(c));
     }
 }
 
@@ -666,24 +735,17 @@ fn lane_bounds_hoisted(tables: &QueryTables, codes: &BlockedCodes, slot: usize) 
     let mask = code_mask(codes.tau);
     let base = (slot / lanes) * codes.d * codes.wpr;
     let words = &codes.words[base..base + codes.d * codes.wpr];
-    let stride = tables.stride;
-    let mut lb_sq = 0.0f64;
-    let mut ub_sq = 0.0f64;
+    let mut acc = [0.0f64; 2];
     let mut at = w;
     for j in 0..codes.d {
         let mut v = words[at] >> shift;
         if straddle {
             v |= words[at + 1] << (64 - shift);
         }
-        let k = j * stride + (v & mask) as usize;
-        lb_sq += tables.lb[k];
-        ub_sq += tables.ub[k];
+        add_pair(&mut acc, tables.entry(j, (v & mask) as usize));
         at += codes.wpr;
     }
-    DistBounds {
-        lb: lb_sq.sqrt(),
-        ub: ub_sq.sqrt(),
-    }
+    finish(acc)
 }
 
 /// Bound all `n_lanes` leading lanes of `block`: per dimension, decode the
@@ -698,40 +760,23 @@ fn scan_block(
 ) {
     debug_assert_eq!(tables.d, codes.d);
     scratch.codes.resize(n_lanes, 0);
-    scratch.lb_sq.clear();
-    scratch.lb_sq.resize(n_lanes, 0.0);
-    scratch.ub_sq.clear();
-    scratch.ub_sq.resize(n_lanes, 0.0);
+    scratch.acc.clear();
+    scratch.acc.resize(n_lanes, [0.0; 2]);
     for j in 0..codes.d {
         let row = codes.row(block, j);
         decode_row(row, codes.tau, n_lanes, &mut scratch.codes);
-        let lb_row = &tables.lb[j * tables.stride..(j + 1) * tables.stride];
-        let ub_row = &tables.ub[j * tables.stride..(j + 1) * tables.stride];
+        let table = tables.row(j);
         #[cfg(target_arch = "x86_64")]
         if use_avx2 {
             // SAFETY: `use_avx2` implies runtime AVX2 support; the code and
-            // accumulator buffers were all resized to `n_lanes` above; codes
+            // accumulator buffers were both resized to `n_lanes` above; codes
             // come from the encoder, hence < bucket count ≤ table stride.
-            unsafe {
-                gather_add_avx2(
-                    &scratch.codes,
-                    lb_row,
-                    ub_row,
-                    &mut scratch.lb_sq,
-                    &mut scratch.ub_sq,
-                );
-            }
+            unsafe { gather_add_avx2(&scratch.codes, table, &mut scratch.acc) };
             continue;
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = use_avx2;
-        gather_add_scalar(
-            &scratch.codes,
-            lb_row,
-            ub_row,
-            &mut scratch.lb_sq,
-            &mut scratch.ub_sq,
-        );
+        gather_add_scalar(&scratch.codes, table, &mut scratch.acc);
     }
 }
 
@@ -782,10 +827,7 @@ pub fn scan_slots(
             scan_block(tables, codes, block, group.len(), scratch, use_avx2);
             for &(slot, idx) in group {
                 let l = slot as usize % lanes;
-                out[idx as usize] = DistBounds {
-                    lb: scratch.lb_sq[l].sqrt(),
-                    ub: scratch.ub_sq[l].sqrt(),
-                };
+                out[idx as usize] = finish(scratch.acc[l]);
             }
         } else {
             for &(slot, idx) in group {
@@ -930,31 +972,6 @@ mod tests {
         let got = tables.lane_bounds(codes.iter().copied());
         assert_eq!(want.lb.to_bits(), got.lb.to_bits());
         assert_eq!(want.ub.to_bits(), got.ub.to_bits());
-    }
-
-    /// The vectorized table fill must reproduce the scalar fill bit for
-    /// bit — including inside-interval zeros, ragged (non-multiple-of-4)
-    /// bucket counts, and intervals on both sides of the query.
-    #[test]
-    fn vectorized_table_build_is_bit_identical() {
-        if !avx2_available() {
-            return;
-        }
-        for nb in [1usize, 2, 3, 4, 5, 7, 8, 13, 64, 255, 256] {
-            let real = synth_intervals(nb);
-            // Queries below, inside, between, and above the intervals.
-            let q: Vec<f32> = (0..9).map(|j| j as f32 * 7.7 - 5.0).collect();
-            let scalar = QueryTables::build_with(&q, &ScanIntervals::Shared(&real), Simd::Scalar);
-            let simd = QueryTables::build_with(&q, &ScanIntervals::Shared(&real), Simd::ForceAvx2);
-            assert_eq!(scalar.d, simd.d);
-            assert_eq!(scalar.stride, simd.stride);
-            for (i, (a, b)) in scalar.lb.iter().zip(&simd.lb).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "nb={nb} lb[{i}]");
-            }
-            for (i, (a, b)) in scalar.ub.iter().zip(&simd.ub).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "nb={nb} ub[{i}]");
-            }
-        }
     }
 
     #[test]

@@ -9,15 +9,18 @@
 //!   (including word-straddling τ = 5, 7, 11 and the τ = 32 mask edge),
 //!   random schemes, queries, lanes-per-block, and ragged tail blocks;
 //! * AVX2 gather path ≡ scalar-blocked fallback under forced kernel
-//!   selection (`Simd::ForceAvx2` vs `Simd::Scalar`);
+//!   selection (`Simd::ForceAvx2` vs `Simd::Scalar`), and the AVX2 table fill
+//!   ≡ the scalar fill on both halves of every `(lb², ub²)` entry;
 //! * the 4-lane exact-distance kernel's AVX2 path ≡ its portable reference;
+//! * the one routine that bounds row-major cached points
+//!   (`hc_cache::tables::bound_rows`: the lock-step walk, full groups and
+//!   every tail width) ≡ per-row `ApproxScheme::bounds`, for global,
+//!   individual (ragged) and multi-dimensional schemes, τ ∈ {1, 5, 8, 13, 32};
 //! * the node caches' leaf routine (`hc_cache::node::leaf_bounds`: memoised
-//!   tables + a per-member walk over row-major words) ≡ per-member
-//!   `ApproxScheme::bounds`, for global, individual (ragged) and
-//!   multi-dimensional schemes, τ ∈ {1, 5, 8, 13, 32}, leaves of 1, 6 and 65
-//!   members;
+//!   tables + `bound_rows` over the leaf's members) ≡ the same, over the same
+//!   schemes, for leaves of 1, 6 and 65 members;
 //! * the point cache's batch path (`CompactPointCache::lookup_batch`: the
-//!   same memoised tables, one row-major row per resident id) ≡
+//!   same memoised tables, `bound_rows` over the hits' rows) ≡
 //!   `ApproxScheme::bounds` over the same scheme families, LRU and HFF.
 //!
 //! CI runs this suite three times: default, `RUSTFLAGS="-C
@@ -27,6 +30,7 @@ use std::sync::Arc;
 
 use hc_cache::node::leaf_bounds;
 use hc_cache::point::{CacheLookup, CompactPointCache, PointCache};
+use hc_cache::tables::{bound_rows, with_query_tables};
 use hc_core::bounds::{BoundsAcc, DistBounds};
 use hc_core::codes::{pack_codes, words_per_point, CodeIter, PackedCodes};
 use hc_core::dataset::{Dataset, PointId};
@@ -273,6 +277,35 @@ fn straddling_taus_dense_blocks_exhaustive() {
     }
 }
 
+/// The vectorized table fill must reproduce the scalar fill bit for bit, on
+/// both halves of every `(lb², ub²)` entry — including inside-interval zeros,
+/// ragged (non-multiple-of-4) bucket counts, and intervals on both sides of
+/// the query.
+#[test]
+fn pair_table_fill_avx2_matches_scalar() {
+    if !avx2_available() {
+        return;
+    }
+    for nb in [1usize, 2, 3, 4, 5, 7, 8, 13, 64, 255, 256] {
+        let real: Vec<(f32, f32)> = (0..nb)
+            .map(|b| (b as f32 * 0.5 - 3.0, b as f32 * 0.5 - 2.5))
+            .collect();
+        // Queries below, inside, between, and above the intervals.
+        let q: Vec<f32> = (0..9).map(|j| j as f32 * 7.7 - 5.0).collect();
+        let intervals = ScanIntervals::Shared(&real);
+        let scalar = QueryTables::build_with(&q, &intervals, Simd::Scalar);
+        let simd = QueryTables::build_with(&q, &intervals, Simd::ForceAvx2);
+        assert_eq!((scalar.dim(), scalar.stride()), (simd.dim(), simd.stride()));
+        for j in 0..q.len() {
+            for b in 0..nb {
+                let (want, got) = (scalar.entry(j, b), simd.entry(j, b));
+                assert_eq!(got[0].to_bits(), want[0].to_bits(), "nb={nb} lb²[{j}][{b}]");
+                assert_eq!(got[1].to_bits(), want[1].to_bits(), "nb={nb} ub²[{j}][{b}]");
+            }
+        }
+    }
+}
+
 /// The compact cache consumes schemes through `Arc<dyn ApproxScheme>`; make
 /// sure interval access survives the trait object.
 #[test]
@@ -428,6 +461,40 @@ fn battery_schemes() -> Vec<(String, Arc<dyn ApproxScheme>)> {
     assert!(multidim.scan_intervals().is_none());
     schemes.push(("multidim".to_owned(), Arc::new(multidim)));
     schemes
+}
+
+/// `bound_rows` — the routine both cache towers bound their rows with —
+/// against per-row `scheme.bounds`, bitwise, for every row count from none to
+/// seventeen: every full-group count and every tail width of a lock-step walk
+/// up to eight wide. From two rows up the second row *is* the first, so one
+/// group holds the same row twice.
+#[test]
+fn bound_rows_matches_scheme_bounds_at_every_row_count() {
+    for (ctx, scheme) in battery_schemes() {
+        let d = scheme.dim();
+        let points: Vec<Vec<u64>> = (0..17)
+            .map(|i| scheme.encode(&(0..d).map(|j| leaf_value(i, j, 5)).collect::<Vec<_>>()))
+            .collect();
+        let q: Vec<f32> = (0..d).map(|j| leaf_value(7, j, 1)).collect();
+        for count in 0..=points.len() {
+            let mut rows: Vec<&[u64]> = points[..count].iter().map(Vec::as_slice).collect();
+            if count >= 2 {
+                rows[1] = rows[0];
+            }
+            let mut got = Vec::new();
+            with_query_tables(&scheme, &q, Simd::Auto, |tables| {
+                assert_eq!(tables.is_some(), scheme.scan_intervals().is_some());
+                bound_rows(scheme.as_ref(), tables, &q, rows.iter().copied(), |b| {
+                    got.push(b)
+                });
+            });
+            assert_eq!(got.len(), count, "{ctx}: one bound per row");
+            for (i, (got, row)) in got.iter().zip(&rows).enumerate() {
+                let want = scheme.bounds(&q, row);
+                assert_bits_eq(*got, want, &format!("{ctx} rows={count} i={i}"));
+            }
+        }
+    }
 }
 
 /// The leaf path of the node caches across scheme families and code widths.

@@ -202,27 +202,33 @@ impl ConcurrentPointCache for ShardedCompactCache {
     fn lookup_batch(&self, q: &[f32], ids: &[PointId], out: &mut Vec<CacheLookup>) {
         out.clear();
         out.resize(ids.len(), CacheLookup::Miss);
-        // Partition candidate indices by shard, preserving output positions.
-        let mut groups: Vec<Vec<u32>> = vec![Vec::new(); self.num_shards()];
-        for (i, &id) in ids.iter().enumerate() {
-            groups[self.shard_of(id.0)].push(i as u32);
+        // Counting sort of the candidate positions by shard, stable so each
+        // shard is probed in `ids` order: `ends[s]` starts as shard `s`'s
+        // first index into `order` and finishes as one past its last.
+        let mut ends = vec![0u32; self.num_shards() + 1];
+        for &id in ids {
+            ends[self.shard_of(id.0) + 1] += 1;
+        }
+        for s in 1..ends.len() {
+            ends[s] += ends[s - 1];
+        }
+        let mut order = vec![0u32; ids.len()];
+        for (at, &id) in ids.iter().enumerate() {
+            let end = &mut ends[self.shard_of(id.0)];
+            order[*end as usize] = at as u32;
+            *end += 1;
         }
         // The tables come from the thread's memo (`hc_cache::tables`): a
         // refill of one long-lived buffer per worker, shared with the node
         // tower.
         with_query_tables(&self.scheme, q, Simd::Auto, |tables| {
-            let mut shard_ids: Vec<PointId> = Vec::new();
-            let mut shard_out: Vec<CacheLookup> = Vec::new();
-            for (s, group) in groups.iter().enumerate() {
-                if group.is_empty() {
-                    continue;
-                }
-                shard_ids.clear();
-                shard_ids.extend(group.iter().map(|&i| ids[i as usize]));
-                self.lock(s)
-                    .lookup_batch_with_tables(q, tables, &shard_ids, &mut shard_out);
-                for (&i, looked) in group.iter().zip(shard_out.drain(..)) {
-                    out[i as usize] = looked;
+            let mut start = 0;
+            for (s, &end) in ends[..self.num_shards()].iter().enumerate() {
+                let positions = &order[start as usize..end as usize];
+                start = end;
+                if !positions.is_empty() {
+                    self.lock(s)
+                        .lookup_batch_with_tables(q, tables, ids, positions, out);
                 }
             }
         })
